@@ -5,7 +5,7 @@
 Every run emits one JSON report (or key,value CSV with --format csv) on
 stdout; matrices go to sibling files under --out.  Randomized commands
 require an explicit --seed.  Exit codes: 0 success, 1 verification
-failure, 2 bad input, 3 internal inconsistency.
+failure, 2 bad input, 3 internal inconsistency or error.
 """
 
 from __future__ import annotations
@@ -418,6 +418,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a fault in the program, not in the input or the result
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

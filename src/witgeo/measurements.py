@@ -276,23 +276,6 @@ class GhzDecomposition(NamedTuple):
     decomposition: WitnessDecomposition
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    g = (np.sqrt(5) - 1) / 2
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1)
-    return (lo + hi) / 2
-
-
 def _xy_axis_basis(phi: float) -> np.ndarray:
     """Eigenbasis of cos(phi) sigma_x + sin(phi) sigma_y, +1 eigenvector first."""
     plus = np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2)
@@ -329,9 +312,9 @@ def ghz_decomposition(n: int) -> GhzDecomposition:
 
     tau0 is the closest point to the GHZ state on the segment between
     the dephased state (Delta) and the corner state (Q); the mixing
-    weight solves a one-dimensional quadratic, minimized by golden
-    section and cross-checked against the parabola vertex.  Delta is one
-    computational-basis setting, Q contributes n equatorial settings.
+    weight is the vertex of that one-dimensional quadratic, in closed
+    form and clipped to [0, 1].  Delta is one computational-basis
+    setting, Q contributes n equatorial settings.
     """
     if n < 2:
         raise ValueError("need at least two parties")
@@ -343,20 +326,8 @@ def ghz_decomposition(n: int) -> GhzDecomposition:
     diff = delta.mat - corner.mat
     resid = rho0.mat - corner.mat
 
-    def objective(x: float) -> float:
-        gap = resid - x * diff
-        return float(np.vdot(gap, gap).real)
-
-    x_golden = _golden_minimize(objective, 0.0, 1.0)
     denom = float(np.vdot(diff, diff).real)
-    x_vertex = min(1.0, max(0.0, float(np.vdot(diff, resid).real) / denom))
-    # a quadratic minimum cannot be localized below ~sqrt(machine eps) by
-    # comparing function values, so the two solvers agree to ~1e-8 at best
-    if abs(x_golden - x_vertex) > 1e-7:
-        raise AssertionError(
-            f"golden section ({x_golden}) and closed form ({x_vertex}) disagree"
-        )
-    x = x_vertex
+    x = min(1.0, max(0.0, float(np.vdot(diff, resid).real) / denom))
 
     tau0 = DensityState(x * delta.mat + (1 - x) * corner.mat, rho0.shape)
     wit = nearest_witness(rho0, tau0)
@@ -455,7 +426,8 @@ def shot_estimate(
         draws = np.searchsorted(cdf, rng.random(shots_per_setting), side="right")
         values = setting.weights.ravel()[draws]
         mean = float(values.mean())
-        var = float(values.var(ddof=1)) if shots_per_setting > 1 else 0.0
+        # a constant sample has variance exactly 0; var() would leave rounding
+        var = float(values.var(ddof=1)) if values.min() != values.max() else 0.0
         estimate += sw * mean
         variance += sw * sw * var / shots_per_setting
     return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from witgeo import cli
 from witgeo import io as wio
 from witgeo.cli import main
 
@@ -183,6 +184,18 @@ class TestEstimateCommand:
         code, _ = run(capsys, "estimate", "bell2", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("d", ("3", "7"))
+    def test_zero_variance_target(self, capsys, tmp_path, d):
+        # every draw on rho0 carries the weight 1/d, so the estimate has no spread
+        code, doc = run_json(
+            capsys,
+            "estimate", "qudit", d,
+            "--state", "rho0", "--shots", "1000", "--seed", "4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert doc["outputs"]["estimate"]["stderr"] == 0.0
+        assert doc["outputs"]["z_score"]["value"] == 0.0
+
     def test_consumes_stored_decomposition(self, capsys, tmp_path):
         run_json(capsys, "decompose", "bell2", "--out", str(tmp_path))
         code, doc = run_json(
@@ -247,3 +260,13 @@ class TestOutputModes:
         assert code == 0
         rows = dict(line.split(",", 1) for line in out.strip().splitlines())
         assert float(rows["outputs.c0.value"]) == pytest.approx(1 / 6, abs=1e-12)
+
+
+def test_unexpected_error_exits_internal(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "witness", broken)
+    code = main(["witness", "bell2"])
+    assert code == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from witgeo.linalg import tensor
 from witgeo.measurements import (
@@ -21,6 +22,8 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     ghz,
+    ghz_corner_mix,
+    ghz_dephased,
     max_entangled,
     pauli_parity_state,
 )
@@ -203,6 +206,18 @@ class TestGhz:
         assert evaluate(g.witness, completely_random((2,) * n)) >= 0
         assert g.decomposition.residual(g.witness) <= 1e-10
         assert len(g.decomposition.settings) == n + 1
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_mixing_minimizes_distance(self, n):
+        # closed-form vertex against a bounded scalar search on the same quadratic
+        rho0, delta, corner = ghz(n).mat, ghz_dephased(n).mat, ghz_corner_mix(n).mat
+
+        def dist2(x):
+            gap = rho0 - (x * delta + (1 - x) * corner)
+            return float(np.vdot(gap, gap).real)
+
+        found = minimize_scalar(dist2, bounds=(0, 1), method="bounded", options={"xatol": 1e-12})
+        assert ghz_decomposition(n).mixing == pytest.approx(found.x, abs=1e-7)
 
     def test_setting_invariants(self):
         for n in (2, 3):

@@ -16,6 +16,7 @@ from witgeo.oracle import (
 )
 from witgeo.states import (
     completely_random,
+    ghz,
     max_entangled,
     three_qubit_family,
 )
@@ -86,6 +87,11 @@ class TestMinOverProducts:
         res = min_over_products(w.matrix, (2, 2), SeeSawConfig(restarts=8, seed=7))
         direct = np.trace(w.matrix @ res.argmin.matrix()).real
         assert direct == pytest.approx(res.value, abs=1e-12)
+
+    def test_nine_parties(self):
+        # the largest overlap of a product state with GHZ is 1/2 at any n
+        res = min_over_products(-ghz(9).mat, (2,) * 9, SeeSawConfig(restarts=2, seed=1))
+        assert res.value == pytest.approx(-0.5, abs=1e-9)
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
