@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .linalg import DensityState, hs_inner, random_density
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
-    ghz_decomposition,
+    ghz_settings,
+    ghz_witness,
     qudit_decomposition,
     shot_estimate,
     standard_witness,
@@ -60,29 +61,30 @@ class Target(NamedTuple):
     rho0: DensityState
     tau0: DensityState
     witness: Witness
-    decomposition: WitnessDecomposition
+    # builds the measurement settings; a command that needs them calls it once
+    decompose: Callable[[], WitnessDecomposition]
     extras: dict
 
 
 def _build_target(args) -> Target:
     kind = args.target
-    extras: dict = {}
     if kind == "bell2":
         w = standard_witness(2)
-        return Target("bell2", w.rho0, w.tau0, w, two_qubit_decomposition(), extras)
+        return Target("bell2", w.rho0, w.tau0, w, two_qubit_decomposition, {})
     if kind == "qudit":
         d = _positive_int(args.params, 0, "d")
         if not is_prime(d):
             raise BadInput(f"qudit dimension must be prime, got {d}")
         w = standard_witness(d)
-        return Target(f"qudit{d}", w.rho0, w.tau0, w, qudit_decomposition(d), extras)
+        return Target(f"qudit{d}", w.rho0, w.tau0, w, lambda: qudit_decomposition(d), {})
     if kind == "ghz":
         n = _positive_int(args.params, 0, "n")
         if n < 2:
             raise BadInput("ghz needs at least 2 parties")
-        g = ghz_decomposition(n)
+        g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
-        return Target(f"ghz{n}", g.witness.rho0, g.witness.tau0, g.witness, g.decomposition, extras)
+        w = g.witness
+        return Target(f"ghz{n}", w.rho0, w.tau0, w, lambda: ghz_settings(g), extras)
     if kind == "threeq":
         m = _float_param(args.params, 0, "m")
         t = _float_param(args.params, 1, "t")
@@ -91,21 +93,25 @@ def _build_target(args) -> Target:
         if t < 0:
             raise BadInput("t < 0: swap the anti-diagonal parameters (mirror symmetry) first")
         w = three_qubit_witness(m, t)
-        return Target(f"threeq_m{m}_t{t}", w.rho0, w.tau0, w, three_qubit_decomposition(t), extras)
+        return Target(
+            f"threeq_m{m}_t{t}", w.rho0, w.tau0, w, lambda: three_qubit_decomposition(t), {}
+        )
     if kind == "upb":
         if args.seed is None:
             raise BadInput("upb targets require an explicit --seed")
         source = args.params[0] if args.params else "tiles"
         upb = tiles() if source == "tiles" else wio.load_upb(source)
         est = estimate_epsilon(upb, restarts=args.restarts, seed=args.seed)
-        w = far_face_witness(upb, est.epsilon)
         extras = {
             "epsilon": est.epsilon,
             "consensus": f"{est.consensus}/{est.restarts}",
             "m": upb.m,
             "N": upb.shape.size,
         }
-        return Target("upb", w.rho0, w.tau0, w, far_face_decomposition(upb, est.epsilon), extras)
+        w = far_face_witness(upb, est.epsilon)
+        return Target(
+            "upb", w.rho0, w.tau0, w, lambda: far_face_decomposition(upb, est.epsilon), extras
+        )
     raise BadInput(f"unknown target {kind!r}")
 
 
@@ -154,8 +160,7 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
-def cmd_witness(args) -> int:
-    t0 = time.perf_counter()
+def cmd_witness(args) -> tuple:
     target = _build_target(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,45 +181,29 @@ def cmd_witness(args) -> int:
         outputs["s0"] = _scalar(target.witness.s0, tol=1e-12)
     for key, value in target.extras.items():
         outputs[key] = _scalar(value, tol=1e-12) if isinstance(value, float) else value
-    report = {
-        "command": "witness",
-        "target": target.name,
-        "inputs": {"params": args.params},
-        "outputs": outputs,
-        "seed": args.seed,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-        "headline": target.witness.c0,
-    }
-    _emit(report, args)
-    return EXIT_OK
+    body = {"target": target.name, "inputs": {"params": args.params}, "outputs": outputs}
+    return body, target.witness.c0, EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    t0 = time.perf_counter()
+def cmd_decompose(args) -> tuple:
     target = _build_target(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dfile = out / f"{target.name}_decomposition.json"
-    wio.save_decomposition(dfile, target.decomposition)
-    residual = target.decomposition.residual(target.witness)
-    report = {
-        "command": "decompose",
-        "target": target.name,
-        "outputs": {
-            "settings": len(target.decomposition.settings),
-            "reconstruction_residual": _scalar(residual, tol=1e-10),
-            "decomposition_file": str(dfile),
-        },
-        "seed": args.seed,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-        "headline": len(target.decomposition.settings),
+    dec = target.decompose()
+    wio.save_decomposition(dfile, dec)
+    residual = dec.residual(target.witness)
+    settings = len(dec.settings)
+    outputs = {
+        "settings": settings,
+        "reconstruction_residual": _scalar(residual, tol=1e-10),
+        "decomposition_file": str(dfile),
     }
-    _emit(report, args)
-    return EXIT_OK if residual <= 1e-10 else EXIT_INTERNAL
+    code = EXIT_OK if residual <= 1e-10 else EXIT_INTERNAL
+    return {"target": target.name, "outputs": outputs}, settings, code
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> tuple:
     if args.seed is None:
         raise BadInput("verify requires an explicit --seed")
     target = _build_target(args)
@@ -235,7 +224,7 @@ def cmd_verify(args) -> int:
         worst_identity = max(worst_identity, abs(lhs - rhs))
     checks.append(("induced_inner_product_identity", worst_identity <= 1e-10, worst_identity))
 
-    residual = target.decomposition.residual(target.witness)
+    residual = target.decompose().residual(target.witness)
     checks.append(("decomposition_reconstruction", residual <= 1e-10, residual))
 
     detection = evaluate(target.witness, target.rho0)
@@ -249,8 +238,7 @@ def cmd_verify(args) -> int:
     checks.append(("positive_on_products", oracle.value >= -1e-8, oracle.value))
 
     failed = [name for name, ok, _ in checks if not ok]
-    report = {
-        "command": "verify",
+    body = {
         "target": target.name,
         "checks": {name: {"passed": ok, "value": val} for name, ok, val in checks},
         "ppt_min_eigenvalues": {
@@ -259,16 +247,13 @@ def cmd_verify(args) -> int:
         },
         "confidence": {"seesaw": oracle.summary()},
         "failed": failed,
-        "seed": args.seed,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-        "headline": "pass" if not failed else f"fail:{','.join(failed)}",
     }
-    _emit(report, args)
-    return EXIT_OK if not failed else EXIT_VERIFY_FAIL
+    if failed:
+        return body, f"fail:{','.join(failed)}", EXIT_VERIFY_FAIL
+    return body, "pass", EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_estimate(args) -> tuple:
     if args.seed is None:
         raise BadInput("estimate requires an explicit --seed")
     if args.shots < 1:
@@ -279,8 +264,9 @@ def cmd_estimate(args) -> int:
         "tau0": target.tau0,
         "d0": completely_random(target.rho0.dims),
     }[args.state]
-    dec = target.decomposition
-    if args.decomposition is not None:
+    if args.decomposition is None:
+        dec = target.decompose()
+    else:
         dec = wio.load_decomposition(args.decomposition)
         if dec.dims != target.rho0.dims:
             raise BadInput(
@@ -289,8 +275,7 @@ def cmd_estimate(args) -> int:
     est = shot_estimate(dec, state, args.shots, args.seed)
     exact = evaluate(target.witness, state)
     z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
-    report = {
-        "command": "estimate",
+    body = {
         "target": target.name,
         "inputs": {"state": args.state, "shots_per_setting": args.shots},
         "outputs": {
@@ -298,12 +283,8 @@ def cmd_estimate(args) -> int:
             "exact": _scalar(exact, tol=1e-12),
             "z_score": _scalar(z),
         },
-        "seed": args.seed,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-        "headline": est.estimate,
     }
-    _emit(report, args)
-    return EXIT_OK
+    return body, est.estimate, EXIT_OK
 
 
 def _parse_amps(text: str):
@@ -316,8 +297,7 @@ def _parse_amps(text: str):
         raise BadInput(f"cannot parse amplitudes from {text!r}") from None
 
 
-def cmd_threshold(args) -> int:
-    t0 = time.perf_counter()
+def cmd_threshold(args) -> tuple:
     kind = args.kind
     if kind == "twoqubit":
         a = _float_param(args.params, 0, "a")
@@ -328,7 +308,6 @@ def cmd_threshold(args) -> int:
             raise BadInput("a and b cannot both be zero")
         value = two_qubit_noise_threshold(a / norm, b / norm, delta)
         outputs = {"threshold": _scalar(value, tol=1e-15)}
-        headline = value
     elif kind == "qudit":
         d = _positive_int(args.params, 0, "d")
         amps = _parse_amps(args.params[1]) if len(args.params) > 1 else None
@@ -342,24 +321,13 @@ def cmd_threshold(args) -> int:
         delta = _float_param(args.params, 3, "delta")
         value = qudit_detection_predicate(d, amps / norm, p, delta)
         outputs = {"detected": bool(value)}
-        headline = value
     elif kind == "frustum":
         p, delta, n, m, b, eps = (_float_param(args.params, i, "frustum args") for i in range(6))
         value = frustum_predicate(p, delta, int(n), int(m), b, eps)
         outputs = {"detected": bool(value)}
-        headline = value
     else:
         raise BadInput(f"unknown threshold kind {kind!r}")
-    report = {
-        "command": "threshold",
-        "kind": kind,
-        "inputs": {"params": args.params},
-        "outputs": outputs,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-        "headline": headline,
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"kind": kind, "inputs": {"params": args.params}, "outputs": outputs}, value, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,10 +377,23 @@ _HANDLERS = {
 }
 
 
+def _run(args) -> int:
+    """Run one command; its handler returns the report body, headline and exit code."""
+    t0 = time.perf_counter()
+    body, headline, code = _HANDLERS[args.command](args)
+    report = {"command": args.command, **body}
+    if hasattr(args, "seed"):  # threshold takes no --seed
+        report["seed"] = args.seed
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    report["headline"] = headline
+    _emit(report, args)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except (BadInput, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

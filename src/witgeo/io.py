@@ -14,6 +14,8 @@ table; the UPB document stores per-party complex factor lists.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +27,39 @@ from .witness import Witness
 
 
 def _entries(mat: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(mat, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    # a C-contiguous complex array viewed as float is its [re, im] pairs in order
+    return np.asarray(mat, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
 
 
-def _from_entries(entries, n: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
-    if len(flat) != n * n:
-        raise ValueError(f"expected {n*n} entries, got {len(flat)}")
-    return flat.reshape(n, n)
+def _floats(values: list) -> np.ndarray:
+    """Float array from a flat list that holds only JSON numbers."""
+    # exact types: float() would parse strings, and a bool is not a number here
+    others = set(map(type, values)) - {int, float}
+    if others:
+        raise ValueError(f"expected JSON numbers, found {sorted(t.__name__ for t in others)}")
+    return np.array(values, dtype=float)
+
+
+def _complex(entries) -> np.ndarray:
+    """1-D complex array from a list of [re, im] pairs of JSON numbers."""
+    if set(map(len, entries)) != {2}:  # len() of a null or number raises TypeError
+        raise ValueError("entries are not a list of [re, im] pairs")
+    return _floats(list(chain.from_iterable(entries))).view(complex)
+
+
+def _save(path, doc: dict) -> None:
+    # a freshly built document holds no cycle; checking costs a dict update per pair
+    Path(path).write_text(json.dumps(doc, check_circular=False))
+
+
+@contextmanager
+def _document(path):
+    """The JSON document at path; bad content raises ValueError naming the file."""
+    text = Path(path).read_text()
+    try:
+        yield json.loads(text)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"invalid document {path}: {type(exc).__name__}: {exc}") from None
 
 
 def matrix_doc(mat: np.ndarray, dims) -> dict:
@@ -48,15 +74,19 @@ def matrix_doc(mat: np.ndarray, dims) -> dict:
 def matrix_from_doc(doc: dict) -> tuple[np.ndarray, tuple[int, ...]]:
     dims = tuple(int(d) for d in doc["dims"])
     n = int(np.prod(dims))
-    return _from_entries(doc["entries"], n), dims
+    flat = _complex(doc["entries"])
+    if len(flat) != n * n:
+        raise ValueError(f"expected {n*n} entries, got {len(flat)}")
+    return flat.reshape(n, n), dims
 
 
 def save_matrix(path, mat: np.ndarray, dims) -> None:
-    Path(path).write_text(json.dumps(matrix_doc(mat, dims)))
+    _save(path, matrix_doc(mat, dims))
 
 
 def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
-    return matrix_from_doc(json.loads(Path(path).read_text()))
+    with _document(path) as doc:
+        return matrix_from_doc(doc)
 
 
 def save_state(path, state: DensityState) -> None:
@@ -64,8 +94,8 @@ def save_state(path, state: DensityState) -> None:
 
 
 def load_state(path) -> DensityState:
-    mat, dims = load_matrix(path)
-    return DensityState.from_matrix(mat, dims)
+    with _document(path) as doc:
+        return DensityState.from_matrix(*matrix_from_doc(doc))
 
 
 def witness_doc(w: Witness) -> dict:
@@ -76,15 +106,15 @@ def witness_doc(w: Witness) -> dict:
 
 
 def save_witness(path, w: Witness) -> None:
-    Path(path).write_text(json.dumps(witness_doc(w)))
+    _save(path, witness_doc(w))
 
 
 def load_witness_matrix(path) -> tuple[np.ndarray, tuple[int, ...], float, float | None]:
     """Matrix, dims and metadata of a stored witness (states are not stored)."""
-    doc = json.loads(Path(path).read_text())
-    mat, dims = matrix_from_doc(doc)
-    s0 = doc.get("s0")
-    return mat, dims, float(doc["c0"]), None if s0 is None else float(s0)
+    with _document(path) as doc:
+        mat, dims = matrix_from_doc(doc)
+        s0 = doc.get("s0")
+        return mat, dims, float(doc["c0"]), None if s0 is None else float(s0)
 
 
 def decomposition_doc(dec: WitnessDecomposition) -> dict:
@@ -98,7 +128,7 @@ def decomposition_doc(dec: WitnessDecomposition) -> dict:
                 ],
                 "outcome_weights": {
                     "shape": list(setting.weights.shape),
-                    "values": [float(x) for x in setting.weights.ravel()],
+                    "values": setting.weights.ravel().tolist(),
                 },
             }
         )
@@ -106,40 +136,32 @@ def decomposition_doc(dec: WitnessDecomposition) -> dict:
 
 
 def save_decomposition(path, dec: WitnessDecomposition) -> None:
-    Path(path).write_text(json.dumps(decomposition_doc(dec)))
+    _save(path, decomposition_doc(dec))
 
 
 def load_decomposition(path) -> WitnessDecomposition:
-    doc = json.loads(Path(path).read_text())
     settings = []
-    for s in doc["settings"]:
-        bases = tuple(matrix_from_doc(b)[0] for b in s["party_bases"])
-        w = np.array(s["outcome_weights"]["values"]).reshape(
-            s["outcome_weights"]["shape"]
-        )
-        settings.append((float(s["weight"]), MeasurementSetting(bases, w)))
-    return WitnessDecomposition(float(doc["identity_coeff"]), tuple(settings))
+    with _document(path) as doc:
+        for s in doc["settings"]:
+            bases = tuple(matrix_from_doc(b)[0] for b in s["party_bases"])
+            w = _floats(s["outcome_weights"]["values"]).reshape(s["outcome_weights"]["shape"])
+            settings.append((float(s["weight"]), MeasurementSetting(bases, w)))
+        return WitnessDecomposition(float(doc["identity_coeff"]), tuple(settings))
 
 
 def upb_doc(upb: UpbSet) -> dict:
     return {
         "shape": list(upb.shape.dims),
-        "vectors": [
-            [[[float(z.real), float(z.imag)] for z in factor] for factor in vec]
-            for vec in upb.vectors
-        ],
+        "vectors": [[_entries(factor) for factor in vec] for vec in upb.vectors],
     }
 
 
 def save_upb(path, upb: UpbSet) -> None:
-    Path(path).write_text(json.dumps(upb_doc(upb)))
+    _save(path, upb_doc(upb))
 
 
 def load_upb(path) -> UpbSet:
-    doc = json.loads(Path(path).read_text())
-    shape = SystemShape(tuple(int(d) for d in doc["shape"]))
-    vectors = tuple(
-        tuple(np.array([complex(re, im) for re, im in factor]) for factor in vec)
-        for vec in doc["vectors"]
-    )
-    return UpbSet(shape, vectors)
+    with _document(path) as doc:
+        shape = SystemShape(tuple(int(d) for d in doc["shape"]))
+        vectors = tuple(tuple(_complex(factor) for factor in vec) for vec in doc["vectors"])
+        return UpbSet(shape, vectors)

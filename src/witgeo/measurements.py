@@ -24,7 +24,6 @@ single-outcome settings).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
@@ -34,8 +33,6 @@ import numpy as np
 from .linalg import DensityState
 from .spin import is_prime, projection_family
 from .states import (
-    PAULI_X,
-    PAULI_Y,
     closest_separable,
     ghz,
     ghz_corner_mix,
@@ -141,19 +138,12 @@ class WitnessDecomposition:
         return val
 
 
-def _columns_from_projections(projs: list[np.ndarray]) -> np.ndarray:
-    """Assemble a basis matrix from rank-1 projections (top eigenvector each)."""
-    cols = []
-    for p in projs:
-        w, v = np.linalg.eigh(p)
-        cols.append(v[:, -1])
-    return np.column_stack(cols)
-
-
+_S = 1 / np.sqrt(2)
+# columns: the +1 and -1 eigenvectors, with the phases and zero signs eigh gives
 _PAULI_BASES = {
     "z": np.eye(2, dtype=complex),
-    "x": _columns_from_projections([(np.eye(2) + s * PAULI_X) / 2 for s in (1, -1)]),
-    "y": _columns_from_projections([(np.eye(2) + s * PAULI_Y) / 2 for s in (1, -1)]),
+    "x": np.array([[_S, -_S], [_S, _S]], dtype=complex),
+    "y": np.array([[-_S, -_S], [complex(0, -_S), complex(0, _S)]]),
 }
 
 
@@ -163,11 +153,8 @@ def _parity_weights(n: int, parity: int, weight: float) -> np.ndarray:
     Outcome bit 0 stands for the +1 eigenvector, so the joint sign is
     (-1)^(number of 1 bits).
     """
-    w = np.zeros((2,) * n)
-    for idx in np.ndindex(*w.shape):
-        if (-1) ** sum(idx) == parity:
-            w[idx] = weight
-    return w
+    signs = (-1) ** np.indices((2,) * n).sum(axis=0)
+    return np.where(signs == parity, weight, 0.0)
 
 
 def two_qubit_decomposition() -> WitnessDecomposition:
@@ -216,30 +203,17 @@ def qudit_decomposition(d: int) -> WitnessDecomposition:
     for r in range(d):
         weights[r, (d - r) % d] = 1.0 / d
 
-    settings = []
-    for u, v in index_pairs:
-        basis_1 = _columns_from_projections(projection_family(d, *u))
-        basis_2 = _columns_from_projections(projection_family(d, *v))
-        setting = MeasurementSetting((basis_1, basis_2), weights)
-        settings.append((-d / (d + 1), setting))
-
-    _warn_if_not_unbiased(settings, d)
+    # basis column r is the top eigenvector of the rank-1 P_u(r); every (j, 1)
+    # family serves two settings, so each family is built once
+    bases = {
+        u: np.ascontiguousarray(np.linalg.eigh(projection_family(d, *u))[1][:, :, -1].T)
+        for u in {u for pair in index_pairs for u in pair}
+    }
+    settings = [
+        (-d / (d + 1), MeasurementSetting((bases[u], bases[v]), weights))
+        for u, v in index_pairs
+    ]
     return WitnessDecomposition(2.0 / (1 + d), tuple(settings))
-
-
-def _warn_if_not_unbiased(settings, d: int) -> None:
-    # Eigenbases of distinct shift operators should be mutually unbiased;
-    # informative only, the reconstruction contract does not rely on it.
-    bases = [s.party_bases[0] for _, s in settings]
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
-            if np.abs(overlaps - 1.0 / d).max() > 1e-8:
-                warnings.warn(
-                    f"setting bases {i} and {j} are not mutually unbiased at d={d}",
-                    stacklevel=3,
-                )
-                return
 
 
 def three_qubit_decomposition(t: float) -> WitnessDecomposition:
@@ -267,6 +241,15 @@ def three_qubit_decomposition(t: float) -> WitnessDecomposition:
     return WitnessDecomposition(1.25 * t, tuple(settings))
 
 
+class GhzWitness(NamedTuple):
+    a: float
+    b: float
+    c: float
+    mixing: float           # weight of the dephased part inside tau0
+    witness: Witness
+    corner: DensityState    # Q, which the equatorial settings reproduce
+
+
 class GhzDecomposition(NamedTuple):
     a: float
     b: float
@@ -283,38 +266,13 @@ def _xy_axis_basis(phi: float) -> np.ndarray:
     return np.column_stack([plus, minus])
 
 
-def ghz_corner_settings(n: int) -> list[MeasurementSetting]:
-    """n one-axis settings whose equal mixture reproduces the corner state.
-
-    Setting j measures every party along the equatorial axis at angle
-    pi*j/n and weights the outcomes of parity (-1)^j uniformly; the
-    weighted sum is I/N + (-1)^j/N * (axis operator)^(tensor n), and the
-    alternating average leaves exactly the two corner coherences.  The
-    builder verifies that matrix identity and fails loudly otherwise.
-    """
-    settings = []
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(n):
-        basis = _xy_axis_basis(np.pi * j / n)
-        setting = MeasurementSetting(
-            (basis,) * n, _parity_weights(n, (-1) ** j, 1.0 / 2 ** (n - 1))
-        )
-        settings.append(setting)
-        acc += setting.weighted_sum()
-    dev = np.abs(acc / n - ghz_corner_mix(n).mat).max()
-    if dev > 1e-12:
-        raise AssertionError(f"corner-state expansion failed verification: {dev:.3e}")
-    return settings
-
-
-def ghz_decomposition(n: int) -> GhzDecomposition:
-    """GHZ witness a*I - b*Delta - c*Q with its measurement settings.
+def ghz_witness(n: int) -> GhzWitness:
+    """GHZ witness a*I - b*Delta - c*Q with its checked coefficients.
 
     tau0 is the closest point to the GHZ state on the segment between
     the dephased state (Delta) and the corner state (Q); the mixing
     weight is the vertex of that one-dimensional quadratic, in closed
-    form and clipped to [0, 1].  Delta is one computational-basis
-    setting, Q contributes n equatorial settings.
+    form and clipped to [0, 1].
     """
     if n < 2:
         raise ValueError("need at least two parties")
@@ -341,14 +299,41 @@ def ghz_decomposition(n: int) -> GhzDecomposition:
         raise AssertionError(f"witness coefficients inconsistent by {dev:.3e}")
     if min(a, b, c) <= 0:
         raise AssertionError(f"expected positive coefficients, got {(a, b, c)}")
+    return GhzWitness(a, b, c, x, wit, corner)
 
+
+def ghz_settings(g: GhzWitness) -> WitnessDecomposition:
+    """The n+1 settings of a GHZ witness: one computational-basis setting for Delta
+    and n one-axis settings whose equal mixture reproduces Q.
+
+    Setting j of Q measures every party along the equatorial axis at angle
+    pi*j/n and weights the outcomes of parity (-1)^j uniformly; the weighted
+    sum is I/N + (-1)^j/N * (axis operator)^(tensor n), and the alternating
+    average leaves exactly the two corner coherences.  The builder verifies
+    that matrix identity against ``g.corner`` and fails loudly otherwise.
+    """
+    n = len(g.corner.dims)
     dephased_weights = np.zeros((2,) * n)
-    dephased_weights[(0,) * n] = 0.5
-    dephased_weights[(1,) * n] = 0.5
-    settings = [(-b, MeasurementSetting((np.eye(2, dtype=complex),) * n, dephased_weights))]
-    settings.extend((-c / n, s) for s in ghz_corner_settings(n))
-    dec = WitnessDecomposition(a, tuple(settings))
-    return GhzDecomposition(a, b, c, x, wit, dec)
+    dephased_weights[(0,) * n] = dephased_weights[(1,) * n] = 0.5
+    settings = [(-g.b, MeasurementSetting((np.eye(2, dtype=complex),) * n, dephased_weights))]
+    acc = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(n):
+        basis = _xy_axis_basis(np.pi * j / n)
+        setting = MeasurementSetting(
+            (basis,) * n, _parity_weights(n, (-1) ** j, 1.0 / 2 ** (n - 1))
+        )
+        settings.append((-g.c / n, setting))
+        acc += setting.weighted_sum()
+    dev = np.abs(acc / n - g.corner.mat).max()
+    if dev > 1e-12:
+        raise AssertionError(f"corner-state expansion failed verification: {dev:.3e}")
+    return WitnessDecomposition(g.a, tuple(settings))
+
+
+def ghz_decomposition(n: int) -> GhzDecomposition:
+    """GHZ witness (see ghz_witness) with its n+1 measurement settings."""
+    g = ghz_witness(n)
+    return GhzDecomposition(g.a, g.b, g.c, g.mixing, g.witness, ghz_settings(g))
 
 
 def complete_basis(v: np.ndarray) -> np.ndarray:
@@ -439,7 +424,8 @@ def shot_estimate(
 
 def standard_witness(d: int) -> Witness:
     """Witness for the d x d maximally entangled state via its closed-form tau0."""
-    return nearest_witness(max_entangled(d), closest_separable(d))
+    rho0 = max_entangled(d)
+    return nearest_witness(rho0, closest_separable(d, rho0))
 
 
 def three_qubit_witness(m: float, t: float) -> Witness:

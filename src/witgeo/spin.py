@@ -72,6 +72,16 @@ def spin_projection(d: int, j: int, k: int, r: int) -> np.ndarray:
     (the odd-odd qubit case needs the sigma_y eigenprojections instead,
     which the measurement layer builds directly from Pauli matrices).
     """
+    return projection_family(d, j, k)[r % d]
+
+
+def projection_family(d: int, j: int, k: int) -> np.ndarray:
+    """The complete orthogonal family as a (d, d, d) stack; entry r is P_u(r).
+
+    The sum over m runs in order, one array update per term for all d
+    outcomes; the phases are the scalar eta_power values, so each member
+    equals the term-by-term sum of spin_matrix products bit for bit.
+    """
     j %= d
     k %= d
     if j == 0 and k == 0:
@@ -84,17 +94,16 @@ def spin_projection(d: int, j: int, k: int, r: int) -> np.ndarray:
         raise ValueError(
             f"unsupported index (j={j}, k={k}) for even dimension d={d}"
         )
-    p = np.zeros((d, d), dtype=complex)
+    # a vectorized exp would differ from eta_power in the last bit at d >= 11
+    phase = np.array([eta_power(d, e) for e in range(d)])
+    rows = np.arange(d)
+    family = np.zeros((d, d, d), dtype=complex)
     for m in range(d):
-        # m*(m-1) is even, so the halved exponent is an exact integer
-        exponent = m * r + j * k * (m * (m - 1) // 2)
-        p += eta_power(d, exponent) * spin_matrix(d, (m * j) % d, (m * k) % d)
-    return p / d
-
-
-def projection_family(d: int, j: int, k: int) -> list[np.ndarray]:
-    """The complete orthogonal family [P_u(0), ..., P_u(d-1)]."""
-    return [spin_projection(d, j, k, r) for r in range(d)]
+        # m*(m-1) is even, so the halved exponent is an exact integer; axis 0 is r
+        coeff = phase[(m * rows[:, None] + j * k * (m * (m - 1) // 2)) % d]
+        # S_(m*j, m*k) holds eta^(m*j*row) at (row, row + m*k)
+        family[:, rows, (rows + m * k) % d] += coeff * phase[(m * j % d) * rows % d]
+    return family / d
 
 
 @dataclass(frozen=True)

@@ -88,14 +88,16 @@ def noise_ball(dims, delta: float, seed: int) -> DensityState:
         scale /= 2
 
 
-def closest_separable(d: int) -> DensityState:
-    """Closest separable state to the maximally entangled state.
+def closest_separable(d: int, rho0: DensityState | None = None) -> DensityState:
+    """Closest separable state to the maximally entangled state rho0.
 
     The closed form is the convex combination d/(d+1) * I/N + 1/(d+1) * rho0,
     which also lies on the segment from I/N to rho0 (so the nearest
     separable state and the last separable segment point coincide here).
+    A caller that already holds max_entangled(d) passes it as ``rho0``.
     """
-    rho0 = max_entangled(d)
+    if rho0 is None:
+        rho0 = max_entangled(d)
     d0 = completely_random((d, d))
     mat = d / (d + 1) * d0.mat + 1 / (d + 1) * rho0.mat
     return DensityState(mat, rho0.shape)

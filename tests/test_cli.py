@@ -8,6 +8,7 @@ import pytest
 from witgeo import cli
 from witgeo import io as wio
 from witgeo.cli import main
+from witgeo.upb import tiles as upb_tiles
 
 
 def run(capsys, *argv):
@@ -58,6 +59,15 @@ class TestWitnessCommand:
         eps = doc["outputs"]["epsilon"]["value"]
         assert 0 < eps < 5 / 9
         assert 0 < doc["outputs"]["s0"]["value"] < 1
+
+    def test_malformed_upb_file_is_bad_input(self, capsys, tmp_path):
+        doc = wio.upb_doc(upb_tiles())
+        doc["vectors"][0][0][0] = ["1", 0.0]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps(doc))
+        code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_ghz(self, capsys, tmp_path):
         code, doc = run_json(capsys, "witness", "ghz", "3", "--out", str(tmp_path))
@@ -216,6 +226,75 @@ class TestEstimateCommand:
             "--shots", "100", "--seed", "9", "--out", str(tmp_path),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [["1", 0.0]] * 4,
+            [None] * 4,
+            [[1.0, 0.0], [0.0], [0.0, 0.0], [1.0, 0.0]],
+            [[1.0, 0.0, 0.0]] * 4,
+            [[1.0, 0.0]] * 3,
+        ],
+        ids=["string", "null", "ragged", "three_element", "wrong_count"],
+    )
+    def test_malformed_decomposition_is_bad_input(self, capsys, tmp_path, entries):
+        run_json(capsys, "decompose", "bell2", "--out", str(tmp_path))
+        path = tmp_path / "bell2_decomposition.json"
+        doc = json.loads(path.read_text())
+        doc["settings"][0]["party_bases"][0]["entries"] = entries
+        path.write_text(json.dumps(doc))
+        code = main(["estimate", "bell2", "--decomposition", str(path), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+
+
+BUILDERS = (
+    "two_qubit_decomposition",
+    "qudit_decomposition",
+    "three_qubit_decomposition",
+    "ghz_settings",
+    "far_face_decomposition",
+)
+
+
+@pytest.mark.parametrize(
+    "argv,builds",
+    [
+        (["witness", "qudit", "5"], 0),
+        (["witness", "ghz", "4"], 0),
+        (["witness", "upb", "tiles", "--seed", "1", "--restarts", "4"], 0),
+        (["decompose", "qudit", "5"], 1),
+        (["decompose", "ghz", "4"], 1),
+        (["decompose", "threeq", "0", "0.125"], 1),
+        (["verify", "bell2", "--seed", "1", "--restarts", "4"], 1),
+        (["estimate", "ghz", "3", "--seed", "1", "--shots", "10"], 1),
+    ],
+)
+def test_settings_built_only_when_used(capsys, monkeypatch, tmp_path, argv, builds):
+    calls = []
+    for name in BUILDERS:
+        builder = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _b=builder, _n=name: calls.append(_n) or _b(*a)
+        )
+    assert main([*argv, "--out", str(tmp_path)]) in (0, 1)
+    assert len(calls) == builds, calls
+
+
+def test_stored_decomposition_skips_build(capsys, monkeypatch, tmp_path):
+    run_json(capsys, "decompose", "qudit", "5", "--out", str(tmp_path))
+    argv = ["estimate", "qudit", "5", "--seed", "2", "--shots", "100"]
+    _, built = run_json(capsys, *argv)
+    monkeypatch.setattr(cli, "qudit_decomposition", None)  # any call would fail
+    code, stored = run_json(
+        capsys, *argv, "--decomposition", str(tmp_path / "qudit5_decomposition.json")
+    )
+    assert code == 0
+    del built["wall_time_s"], stored["wall_time_s"]
+    assert stored == built
 
 
 class TestThresholdCommand:

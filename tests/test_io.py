@@ -1,6 +1,7 @@
 """Document round trips for matrices, witnesses, decompositions, UPB files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,51 @@ def test_matrix_round_trip_exact(tmp_path):
     back, dims = wio.load_matrix(path)
     assert dims == (2, 3)
     assert np.array_equal(back, mat)  # repr round-trips doubles exactly
+
+
+def test_save_matrix_bytes_match_per_entry_encoding(tmp_path):
+    # signed zeros, subnormals and extremes: the vectorized encoder writes the
+    # same float reprs as one float() per entry
+    values = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1 / 3, -1.5]
+    mat = np.array([complex(x, y) for x, y in zip(values, values[::-1])] * 2).reshape(4, 4)
+    path = tmp_path / "m.json"
+    wio.save_matrix(path, mat, (2, 2))
+    entries = [[float(z.real), float(z.imag)] for z in mat.ravel()]
+    assert path.read_text() == json.dumps({"dims": [2, 2], "entries": entries})
+    back, _ = wio.load_matrix(path)
+    assert back.tobytes() == mat.tobytes()
+
+
+ZEROS = [[0.0, 0.0]] * 3
+MALFORMED_ENTRIES = {
+    "string": ([2], [["1", 0.0]] + ZEROS),
+    "null": ([2], [None] + ZEROS),
+    "null_part": ([2], [[1.0, None]] + ZEROS),
+    "bool": ([2], [[True, 0.0]] + ZEROS),
+    "ragged": ([2], [[1.0, 0.0], [0.0]] + ZEROS[:2]),
+    "three_element": ([2], [[1.0, 0.0, 0.0]] * 4),
+    # 6 triples hold the 18 numbers of 9 pairs
+    "three_element_same_total": ([3], [[1.0, 0.0, 0.0]] * 6),
+    "wrong_count": ([2], [[1.0, 0.0]] * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_malformed_entries_rejected_naming_file(tmp_path, case):
+    dims, entries = MALFORMED_ENTRIES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({"dims": dims, "entries": entries}))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_matrix(path)
+
+
+def test_decomposition_rejects_string_weight(tmp_path):
+    path = tmp_path / "dec.json"
+    doc = wio.decomposition_doc(two_qubit_decomposition())
+    doc["settings"][0]["outcome_weights"]["values"][0] = "0.5"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_decomposition(path)
 
 
 def test_matrix_doc_shape():

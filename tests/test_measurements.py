@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 
 from witgeo.linalg import tensor
 from witgeo.measurements import (
+    _PAULI_BASES,
     MeasurementSetting,
     complete_basis,
     far_face_decomposition,
@@ -19,6 +20,8 @@ from witgeo.measurements import (
 )
 from witgeo.spin import projection_family, spin_matrix
 from witgeo.states import (
+    PAULI_X,
+    PAULI_Y,
     closest_separable,
     completely_random,
     ghz,
@@ -51,6 +54,13 @@ def setting_residuals(setting):
                 want = projs[r] if r == s else 0.0
                 orth = max(orth, np.abs(projs[r] @ projs[s] - want).max())
     return comp, orth
+
+
+def test_pauli_bases_match_eigh_columns():
+    # the literal bases carry the phases and zero signs eigh gives for (I +- sigma)/2
+    for axis, sigma in (("x", PAULI_X), ("y", PAULI_Y)):
+        cols = [np.linalg.eigh((np.eye(2) + s * sigma) / 2)[1][:, -1] for s in (1, -1)]
+        assert _PAULI_BASES[axis].tobytes() == np.column_stack(cols).tobytes()
 
 
 class TestTwoQubit:
@@ -129,16 +139,12 @@ class TestQudit:
                     assert w[r, s] == pytest.approx(want)
 
     def test_mutually_unbiased_bases(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dec = qudit_decomposition(5)
-        bases = [s.party_bases[0] for s in all_settings(dec)]
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
-                assert np.abs(overlaps - 0.2).max() <= 1e-8
+        for d in (3, 5, 7, 11, 13):
+            bases = [s.party_bases[0] for s in all_settings(qudit_decomposition(d))]
+            for i in range(len(bases)):
+                for j in range(i + 1, len(bases)):
+                    overlaps = np.abs(bases[i].conj().T @ bases[j]) ** 2
+                    assert np.abs(overlaps - 1 / d).max() <= 1e-8
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from witgeo.linalg import hermitian_eigen, hs_inner
 from witgeo.spin import (
+    eta_power,
     is_prime,
     projection_family,
     spin_expand,
@@ -18,6 +19,17 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 DIMS = (2, 3, 5, 7)
+
+
+def scalar_projection(d, j, k, r):
+    """Reference route: P_u(r) summed term by term from spin_matrix products."""
+    j %= d
+    k %= d
+    p = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        exponent = m * r + j * k * (m * (m - 1) // 2)
+        p += eta_power(d, exponent) * spin_matrix(d, (m * j) % d, (m * k) % d)
+    return p / d
 
 
 class TestSpinMatrix:
@@ -122,6 +134,21 @@ class TestProjectionFamily:
                         assert np.abs(p @ fam[s]).max() <= 1e-10
                     total += p
                 assert np.abs(total - np.eye(d)).max() <= 1e-10
+
+    @pytest.mark.parametrize("d", (3, 5, 7, 11, 13))
+    def test_family_matches_scalar_route_bitwise(self, d):
+        # the indices qudit_decomposition measures: (1,0), (d-1,0), (j,1)
+        for idx in [(1, 0), (d - 1, 0)] + [(j, 1) for j in range(d)]:
+            fam = projection_family(d, *idx)
+            want = np.stack([scalar_projection(d, *idx, r) for r in range(d)])
+            assert fam.shape == (d, d, d)
+            assert fam.tobytes() == want.tobytes()
+            assert spin_projection(d, *idx, d + 1).tobytes() == want[1].tobytes()
+
+    def test_family_rejects_like_projection(self):
+        for args in ((3, 0, 0), (2, 1, 1), (9, 0, 3)):
+            with pytest.raises(ValueError):
+                projection_family(*args)
 
     def test_rank_one_spectrum(self):
         w, _ = hermitian_eigen(spin_projection(3, 1, 1, 2))
