@@ -36,8 +36,6 @@ from .oracle import (
     MinProductsResult,
     PptReport,
     SeeSawConfig,
-    bell_bound_three_qubit,
-    bell_correlation,
     min_over_products,
     ppt_report,
     product_from_angles,

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as wio
-from .linalg import DensityState, hs_inner, random_density
+from .linalg import hs_inner, random_density
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
@@ -58,8 +58,6 @@ class BadInput(Exception):
 
 class Target(NamedTuple):
     name: str
-    rho0: DensityState
-    tau0: DensityState
     witness: Witness
     # builds the measurement settings; a command that needs them calls it once
     decompose: Callable[[], WitnessDecomposition]
@@ -70,13 +68,13 @@ def _build_target(args) -> Target:
     kind = args.target
     if kind == "bell2":
         w = standard_witness(2)
-        return Target("bell2", w.rho0, w.tau0, w, two_qubit_decomposition, {})
+        return Target("bell2", w, two_qubit_decomposition, {})
     if kind == "qudit":
         d = _positive_int(args.params, 0, "d")
         if not is_prime(d):
             raise BadInput(f"qudit dimension must be prime, got {d}")
         w = standard_witness(d)
-        return Target(f"qudit{d}", w.rho0, w.tau0, w, lambda: qudit_decomposition(d), {})
+        return Target(f"qudit{d}", w, lambda: qudit_decomposition(d), {})
     if kind == "ghz":
         n = _positive_int(args.params, 0, "n")
         if n < 2:
@@ -84,7 +82,7 @@ def _build_target(args) -> Target:
         g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
         w = g.witness
-        return Target(f"ghz{n}", w.rho0, w.tau0, w, lambda: ghz_settings(g), extras)
+        return Target(f"ghz{n}", w, lambda: ghz_settings(g), extras)
     if kind == "threeq":
         m = _float_param(args.params, 0, "m")
         t = _float_param(args.params, 1, "t")
@@ -93,9 +91,7 @@ def _build_target(args) -> Target:
         if t < 0:
             raise BadInput("t < 0: swap the anti-diagonal parameters (mirror symmetry) first")
         w = three_qubit_witness(m, t)
-        return Target(
-            f"threeq_m{m}_t{t}", w.rho0, w.tau0, w, lambda: three_qubit_decomposition(t), {}
-        )
+        return Target(f"threeq_m{m}_t{t}", w, lambda: three_qubit_decomposition(t), {})
     if kind == "upb":
         if args.seed is None:
             raise BadInput("upb targets require an explicit --seed")
@@ -109,9 +105,7 @@ def _build_target(args) -> Target:
             "N": upb.shape.size,
         }
         w = far_face_witness(upb, est.epsilon)
-        return Target(
-            "upb", w.rho0, w.tau0, w, lambda: far_face_decomposition(upb, est.epsilon), extras
-        )
+        return Target("upb", w, lambda: far_face_decomposition(upb, est.epsilon), extras)
     raise BadInput(f"unknown target {kind!r}")
 
 
@@ -167,22 +161,23 @@ def cmd_witness(args) -> tuple:
     wfile = out / f"{target.name}_witness.json"
     taufile = out / f"{target.name}_tau0.json"
     rhofile = out / f"{target.name}_rho0.json"
-    wio.save_witness(wfile, target.witness)
-    wio.save_state(taufile, target.tau0)
-    wio.save_state(rhofile, target.rho0)
+    w = target.witness
+    wio.save_witness(wfile, w)
+    wio.save_state(taufile, w.tau0)
+    wio.save_state(rhofile, w.rho0)
     outputs = {
-        "c0": _scalar(target.witness.c0, tol=1e-12),
-        "detection_value": _scalar(evaluate(target.witness, target.rho0), tol=DETECTION_TOL),
+        "c0": _scalar(w.c0, tol=1e-12),
+        "detection_value": _scalar(evaluate(w, w.rho0), tol=DETECTION_TOL),
         "witness_file": str(wfile),
         "tau0_file": str(taufile),
         "rho0_file": str(rhofile),
     }
-    if target.witness.s0 is not None:
-        outputs["s0"] = _scalar(target.witness.s0, tol=1e-12)
+    if w.s0 is not None:
+        outputs["s0"] = _scalar(w.s0, tol=1e-12)
     for key, value in target.extras.items():
         outputs[key] = _scalar(value, tol=1e-12) if isinstance(value, float) else value
     body = {"target": target.name, "inputs": {"params": args.params}, "outputs": outputs}
-    return body, target.witness.c0, EXIT_OK
+    return body, w.c0, EXIT_OK
 
 
 def cmd_decompose(args) -> tuple:
@@ -207,33 +202,32 @@ def cmd_verify(args) -> tuple:
     if args.seed is None:
         raise BadInput("verify requires an explicit --seed")
     target = _build_target(args)
+    w = target.witness
     rng = np.random.default_rng(args.seed)
     checks = []
 
-    report_ppt = ppt_report(target.rho0)
+    report_ppt = ppt_report(w.rho0)
     ppt_needed = args.target in ("threeq", "upb")
     if ppt_needed:
         checks.append(("ppt_all_cuts", report_ppt.minimum >= -1e-10, report_ppt.minimum))
 
-    diff = target.rho0.mat - target.tau0.mat
+    diff = w.rho0.mat - w.tau0.mat
     worst_identity = 0.0
     for _ in range(100):
-        rho = random_density(target.rho0.n, rng, target.rho0.dims)
-        lhs = evaluate(target.witness, rho)
-        rhs = -hs_inner(diff, rho.mat - target.tau0.mat).real
+        rho = random_density(w.n, rng, w.dims)
+        lhs = evaluate(w, rho)
+        rhs = -hs_inner(diff, rho.mat - w.tau0.mat).real
         worst_identity = max(worst_identity, abs(lhs - rhs))
     checks.append(("induced_inner_product_identity", worst_identity <= 1e-10, worst_identity))
 
-    residual = target.decompose().residual(target.witness)
+    residual = target.decompose().residual(w)
     checks.append(("decomposition_reconstruction", residual <= 1e-10, residual))
 
-    detection = evaluate(target.witness, target.rho0)
+    detection = evaluate(w, w.rho0)
     checks.append(("detects_target", detection < -DETECTION_TOL, detection))
 
     oracle = min_over_products(
-        target.witness.matrix,
-        target.rho0.dims,
-        SeeSawConfig(restarts=args.restarts, seed=args.seed),
+        w.matrix, w.dims, SeeSawConfig(restarts=args.restarts, seed=args.seed)
     )
     checks.append(("positive_on_products", oracle.value >= -1e-8, oracle.value))
 
@@ -259,21 +253,16 @@ def cmd_estimate(args) -> tuple:
     if args.shots < 1:
         raise BadInput("--shots must be >= 1")
     target = _build_target(args)
-    state = {
-        "rho0": target.rho0,
-        "tau0": target.tau0,
-        "d0": completely_random(target.rho0.dims),
-    }[args.state]
+    w = target.witness
+    state = completely_random(w.dims) if args.state == "d0" else getattr(w, args.state)
     if args.decomposition is None:
         dec = target.decompose()
     else:
         dec = wio.load_decomposition(args.decomposition)
-        if dec.dims != target.rho0.dims:
-            raise BadInput(
-                f"decomposition shape {dec.dims} does not match target {target.rho0.dims}"
-            )
+        if dec.dims != w.dims:
+            raise BadInput(f"decomposition shape {dec.dims} does not match target {w.dims}")
     est = shot_estimate(dec, state, args.shots, args.seed)
-    exact = evaluate(target.witness, state)
+    exact = evaluate(w, state)
     z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
     body = {
         "target": target.name,

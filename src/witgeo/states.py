@@ -98,8 +98,7 @@ def closest_separable(d: int, rho0: DensityState | None = None) -> DensityState:
     """
     if rho0 is None:
         rho0 = max_entangled(d)
-    d0 = completely_random((d, d))
-    mat = d / (d + 1) * d0.mat + 1 / (d + 1) * rho0.mat
+    mat = d / (d + 1) * (np.eye(d * d, dtype=complex) / (d * d)) + 1 / (d + 1) * rho0.mat
     return DensityState(mat, rho0.shape)
 
 
@@ -145,7 +144,7 @@ def ghz_segment_state(n: int) -> DensityState:
     s0*dephased + (1-s0)*corner_mix; the two must agree entrywise.
     """
     s0 = ghz_segment_weight(n)
-    via_segment = (1 - s0) * completely_random((2,) * n).mat + s0 * ghz(n).mat
+    via_segment = (1 - s0) * (np.eye(2**n, dtype=complex) / 2**n) + s0 * ghz(n).mat
     via_parts = s0 * ghz_dephased(n).mat + (1 - s0) * ghz_corner_mix(n).mat
     dev = np.abs(via_segment - via_parts).max()
     if dev > 1e-12:
@@ -289,12 +288,12 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),
         SystemShape((2, 2, 2)),
     )
-    d0 = completely_random((2, 2, 2))
-    segment_mat = (rho.mat + 8 * t * d0.mat) / (1 + 8 * t)
+    d0 = np.eye(8, dtype=complex) / 8
+    segment_mat = (rho.mat + 8 * t * d0) / (1 + 8 * t)
     segment = DensityState(segment_mat, SystemShape((2, 2, 2)))
     # sanity: segment really lies on [I/N, rho]
     s = 1.0 / (1 + 8 * t)
-    dev = np.abs(segment.mat - ((1 - s) * d0.mat + s * rho.mat)).max()
+    dev = np.abs(segment.mat - ((1 - s) * d0 + s * rho.mat)).max()
     if dev > 1e-12:
         raise AssertionError(f"segment point off the line by {dev:.3e}")
     return SeparableCandidates(nearest, segment)

@@ -21,14 +21,7 @@ from witgeo.measurements import (
     three_qubit_witness,
     two_qubit_decomposition,
 )
-from witgeo.oracle import (
-    SeeSawConfig,
-    bell_bound_three_qubit,
-    min_over_products,
-    ppt_report,
-    product_bound_objective,
-    product_from_angles,
-)
+from witgeo.oracle import SeeSawConfig, min_over_products, ppt_report, product_from_angles
 from witgeo.spin import projection_family, spin_matrix, spin_relations_check
 from witgeo.states import (
     closest_separable,
@@ -52,6 +45,8 @@ from witgeo.witness import (
     qudit_detection_predicate,
     two_qubit_noise_threshold,
 )
+
+from product_bound import bell_bound_three_qubit, product_bound_objective
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3

@@ -7,11 +7,8 @@ from witgeo.linalg import tensor
 from witgeo.measurements import standard_witness, three_qubit_witness
 from witgeo.oracle import (
     SeeSawConfig,
-    bell_bound_three_qubit,
-    bell_correlation,
     min_over_products,
     ppt_report,
-    product_bound_objective,
     product_from_angles,
 )
 from witgeo.states import (
@@ -20,6 +17,9 @@ from witgeo.states import (
     max_entangled,
     three_qubit_family,
 )
+
+from product_bound import bell_bound_three_qubit, bell_correlation, product_bound_objective
+
 
 class TestPptReport:
     def test_bell_cut(self):

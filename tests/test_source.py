@@ -1,6 +1,8 @@
 """Source-level rules for the witgeo package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import witgeo
@@ -18,3 +20,17 @@ def test_no_assert_statements():
     ]
     assert SOURCES
     assert not found, f"assert statements in witgeo: {found}"
+
+
+def test_package_never_loads_scipy():
+    # a fresh interpreter: other test modules import scipy into this one
+    src = str(Path(witgeo.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import witgeo, witgeo.cli; "
+        "witgeo.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]", f"scipy modules loaded: {out.stdout.strip()}"
