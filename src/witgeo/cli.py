@@ -214,9 +214,9 @@ def cmd_verify(args) -> tuple:
     diff = w.rho0.mat - w.tau0.mat
     worst_identity = 0.0
     for _ in range(100):
-        rho = random_density(w.n, rng, w.dims)
+        rho = random_density(w.n, rng)
         lhs = evaluate(w, rho)
-        rhs = -hs_inner(diff, rho.mat - w.tau0.mat).real
+        rhs = -hs_inner(diff, rho - w.tau0.mat).real
         worst_identity = max(worst_identity, abs(lhs - rhs))
     checks.append(("induced_inner_product_identity", worst_identity <= 1e-10, worst_identity))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .linalg import (
     hermitian_eigen,
     is_hermitian,
     partial_transpose,
-    tensor,
 )
 
 
@@ -97,10 +97,10 @@ class MinProductsResult:
         )
 
 
-def _local_operator(h: np.ndarray, vecs: list[np.ndarray], k: int) -> np.ndarray:
-    """eff[a, b] = <a, others|H|b, others>, every party but k fixed to its vector."""
-    cols = tensor(*(np.eye(len(v)) if i == k else v[:, None] for i, v in enumerate(vecs)))
-    return cols.conj().T @ h @ cols
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each stacked pair: (m, p, q) and (m, s, t) give (m, p*s, q*t)."""
+    out = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return out.reshape(len(a), a.shape[1] * b.shape[1], -1)
 
 
 def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> MinProductsResult:
@@ -112,48 +112,48 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     eigenvalue; it never rises, and a sweep that raises it by more than
     1e-9 raises AssertionError.  Restarts are independent and merged by
     min, keyed by (value, restart index), so the result is deterministic
-    under (seed, restarts).
+    under (seed, restarts).  They advance together: each party step
+    builds one Kronecker column stack of restarts x N x d_k complex
+    entries for one batched eigh; a restart leaves once a sweep gains
+    less than _SWEEP_TOL.
     """
     cfg = cfg or SeeSawConfig()
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("objective matrix must be Hermitian")
     dims = tuple(int(d) for d in dims)
-    n = len(dims)
     if not dims or int(np.prod(dims)) != h.shape[0]:
         raise ValueError(f"dims {dims} do not match matrix size {h.shape[0]}")
 
-    finals = []
-    argmins = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        vecs = []
-        for d in dims:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            vecs.append(v / np.linalg.norm(v))
-        prev = np.inf
-        for _ in range(_MAX_SWEEPS):
-            for k in range(n):
-                w, v = np.linalg.eigh(_local_operator(h, vecs, k))
-                vecs[k] = v[:, 0]
-            val = float(w[0])  # <pi|H|pi> once the last party is updated
-            if val > prev + 1e-9:
-                raise AssertionError(f"see-saw sweep increased the objective: {prev!r} -> {val!r}")
-            if prev - val < _SWEEP_TOL:
-                break
-            prev = val
-        finals.append(val)
-        argmins.append(ProductProjection(tuple(vecs)))
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
+    starts = [[g.normal(size=d) + 1j * g.normal(size=d) for g in rngs] for d in dims]
+    vecs = [np.array([v / np.linalg.norm(v) for v in party]) for party in starts]  # (restarts, d_k)
+    finals = np.full(cfg.restarts, np.inf)  # each restart's objective after its last sweep
+    live = np.arange(cfg.restarts)
+    for _ in range(_MAX_SWEEPS):
+        for k, d in enumerate(dims):
+            eye = np.broadcast_to(np.eye(d, dtype=complex), (len(live), d, d))
+            cols = reduce(_kron, [eye if i == k else v[live, :, None] for i, v in enumerate(vecs)])
+            w, u = np.linalg.eigh(cols.conj().transpose(0, 2, 1) @ h @ cols)
+            vecs[k][live] = u[:, :, 0]
+        val, prev = w[:, 0], finals[live]  # <pi|H|pi> once the last party is updated
+        if np.any(val > prev + 1e-9):
+            i = np.argmax(val - prev)
+            raise AssertionError(f"see-saw sweep increased the objective: {prev[i]} -> {val[i]}")
+        finals[live] = val
+        live = live[prev - val >= _SWEEP_TOL]
+        if not live.size:
+            break
 
-    best_idx = min(range(cfg.restarts), key=lambda i: (finals[i], i))
-    best = finals[best_idx]
-    consensus = sum(1 for v in finals if v <= best + 1e-9)
+    values = finals.tolist()
+    best_idx = min(range(cfg.restarts), key=lambda i: (values[i], i))
+    consensus = sum(1 for v in values if v <= values[best_idx] + 1e-9)
     return MinProductsResult(
-        value=best,
-        argmin=argmins[best_idx],
+        value=values[best_idx],
+        argmin=ProductProjection(tuple(v[best_idx] for v in vecs)),
         consensus=consensus,
         restarts=cfg.restarts,
-        values=tuple(finals),
+        values=tuple(values),
     )
 
 

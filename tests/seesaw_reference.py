@@ -1,0 +1,64 @@
+"""The see-saw run one restart at a time, as the library ran it before batching.
+
+``oracle.min_over_products`` advances every restart together, with one
+batched ``eigh`` per party step.  This loop is the plain form of the same
+algorithm: the same seeded starts, Kronecker column stack, multiplication
+order and stopping rule, so ``tests/test_oracle.py`` requires its results
+to be bit-identical to the library's.
+"""
+
+import numpy as np
+
+from witgeo.linalg import ProductProjection, is_hermitian, tensor
+from witgeo.oracle import _MAX_SWEEPS, _SWEEP_TOL, MinProductsResult, SeeSawConfig
+
+
+def _local_operator(h: np.ndarray, vecs: list[np.ndarray], k: int) -> np.ndarray:
+    """eff[a, b] = <a, others|H|b, others>, every party but k fixed to its vector."""
+    cols = tensor(*(np.eye(len(v)) if i == k else v[:, None] for i, v in enumerate(vecs)))
+    return cols.conj().T @ h @ cols
+
+
+def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> MinProductsResult:
+    """See-saw minimization of Tr(H pi) over product projections pi, restart by restart."""
+    cfg = cfg or SeeSawConfig()
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h):
+        raise ValueError("objective matrix must be Hermitian")
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    if not dims or int(np.prod(dims)) != h.shape[0]:
+        raise ValueError(f"dims {dims} do not match matrix size {h.shape[0]}")
+
+    finals = []
+    argmins = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        vecs = []
+        for d in dims:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            vecs.append(v / np.linalg.norm(v))
+        prev = np.inf
+        for _ in range(_MAX_SWEEPS):
+            for k in range(n):
+                w, v = np.linalg.eigh(_local_operator(h, vecs, k))
+                vecs[k] = v[:, 0]
+            val = float(w[0])  # <pi|H|pi> once the last party is updated
+            if val > prev + 1e-9:
+                raise AssertionError(f"see-saw sweep increased the objective: {prev!r} -> {val!r}")
+            if prev - val < _SWEEP_TOL:
+                break
+            prev = val
+        finals.append(val)
+        argmins.append(ProductProjection(tuple(vecs)))
+
+    best_idx = min(range(cfg.restarts), key=lambda i: (finals[i], i))
+    best = finals[best_idx]
+    consensus = sum(1 for v in finals if v <= best + 1e-9)
+    return MinProductsResult(
+        value=best,
+        argmin=argmins[best_idx],
+        consensus=consensus,
+        restarts=cfg.restarts,
+        values=tuple(finals),
+    )

@@ -12,7 +12,14 @@ the README section "Three-qubit family: the published bound is 2*sqrt(2)").
 import numpy as np
 import pytest
 
-from witgeo.linalg import hs_distance, hs_inner, partial_transpose, random_density, tensor
+from witgeo.linalg import (
+    DensityState,
+    hs_distance,
+    hs_inner,
+    partial_transpose,
+    random_density,
+    tensor,
+)
 from witgeo.measurements import (
     ghz_decomposition,
     qudit_decomposition,
@@ -95,7 +102,7 @@ def test_criterion_02_two_qubit_decomposition():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        rho = random_density(4, rng, (2, 2))
+        rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
         lhs = evaluate(w, rho)
         rhs = 2 / 3 - 2 * hs_inner(tau0.mat, rho.mat).real
         worst = max(worst, abs(lhs - rhs))
@@ -440,7 +447,7 @@ def test_criterion_10_global_identity():
         diff = w.rho0.mat - w.tau0.mat
         worst = 0.0
         for _ in range(100):
-            rho = random_density(w.n, rng, w.dims)
+            rho = DensityState.from_matrix(random_density(w.n, rng), w.dims)
             total = evaluate(w, rho) + hs_inner(diff, rho.mat - w.tau0.mat).real
             worst = max(worst, abs(total))
         crit.check(name, worst <= 1e-10, f"worst {worst:.3e}")

@@ -203,5 +203,5 @@ class TestProductProjection:
 
 def test_random_density_is_valid():
     rng = np.random.default_rng(5)
-    st = random_density(6, rng, (2, 3))
+    st = DensityState.from_matrix(random_density(6, rng), (2, 3))
     assert abs(np.trace(st.mat) - 1) <= 1e-12

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from witgeo import oracle
 from witgeo.linalg import tensor
-from witgeo.measurements import standard_witness, three_qubit_witness
+from witgeo.measurements import ghz_decomposition, standard_witness, three_qubit_witness
 from witgeo.oracle import (
     SeeSawConfig,
     min_over_products,
@@ -19,6 +20,7 @@ from witgeo.states import (
 )
 
 from product_bound import bell_bound_three_qubit, bell_correlation, product_bound_objective
+import seesaw_reference
 
 
 class TestPptReport:
@@ -110,6 +112,53 @@ class TestMinOverProducts:
         assert res.consensus >= 8
 
 
+def _reference_targets():
+    from witgeo.upb import tiles, uniform_mixture
+
+    rng = np.random.default_rng(16)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    yield pytest.param(standard_witness(2).matrix, (2, 2), 32, id="bell2")
+    for d in (3, 5, 7, 13):
+        yield pytest.param(standard_witness(d).matrix, (d, d), 32, id=f"qudit{d}")
+    for n in (3, 4, 5, 6):
+        yield pytest.param(ghz_decomposition(n).witness.matrix, (2,) * n, 32, id=f"ghz{n}")
+    yield pytest.param(-ghz(9).mat, (2,) * 9, 2, id="-ghz9")
+    for m, t in ((0.0, 1 / 8), (0.02, 0.05)):
+        yield pytest.param(three_qubit_witness(m, t).matrix, (2, 2, 2), 32, id=f"threeq{m},{t}")
+    yield pytest.param(uniform_mixture(tiles()).mat, (3, 3), 32, id="tiles-mu0")
+    yield pytest.param(g + g.conj().T, (4,), 32, id="single-party")
+
+
+class TestBatchedSeeSaw:
+    @pytest.mark.parametrize("h, dims, restarts", list(_reference_targets()))
+    def test_bit_identical_to_restart_loop(self, h, dims, restarts):
+        # The batch runs the same gemm and eigh calls per restart as the
+        # one-restart-at-a-time loop, so every value must match exactly.
+        cfg = SeeSawConfig(restarts=restarts, seed=3)
+        got = min_over_products(h, dims, cfg)
+        want = seesaw_reference.min_over_products(h, dims, cfg)
+        assert got.value == want.value
+        assert got.consensus == want.consensus
+        assert got.values == want.values
+        for a, b in zip(got.argmin.factors, want.argmin.factors, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_one_batched_eigh_per_party_step(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def record(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(oracle.np.linalg, "eigh", record)
+        dims = (2, 2)
+        min_over_products(standard_witness(2).matrix, dims, SeeSawConfig(restarts=32, seed=2))
+        assert calls
+        assert all(len(shape) == 3 for shape in calls)
+        assert len(calls) <= len(dims) * oracle._MAX_SWEEPS
+
+
 class TestProductBound:
     def test_correlation_values(self):
         assert bell_correlation(0.0, 0.0, 0.0) == pytest.approx(2.0)
@@ -156,8 +205,6 @@ class TestProductBound:
 
 
 def test_witness_floor_for_ghz_targets():
-    from witgeo.measurements import ghz_decomposition
-
     for n in (3, 4):
         g = ghz_decomposition(n)
         res = min_over_products(

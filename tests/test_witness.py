@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import hs_inner, random_density
+from witgeo.linalg import DensityState, hs_inner, random_density
 from witgeo.states import (
     closest_separable,
     completely_random,
@@ -79,8 +79,8 @@ class TestSegmentWitness:
     def test_random_pairs_agree(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            rho = random_density(4, rng, (2, 2))
-            tau = random_density(4, rng, (2, 2))
+            rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
+            tau = DensityState.from_matrix(random_density(4, rng), (2, 2))
             s0 = rng.uniform(0.05, 0.95)
             w1 = segment_witness(rho, tau, s0)
             w2 = nearest_witness(rho, tau)
@@ -106,7 +106,7 @@ class TestEvaluate:
         w = bell_witness()
         diff = w.rho0.mat - w.tau0.mat
         for _ in range(100):
-            rho = random_density(4, rng, (2, 2))
+            rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
             lhs = evaluate(w, rho)
             rhs = -hs_inner(diff, rho.mat - w.tau0.mat).real
             assert abs(lhs - rhs) <= 1e-10
