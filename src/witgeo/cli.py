@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as wio
-from .linalg import hs_inner, random_density
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
@@ -42,6 +41,7 @@ from .witness import (
     Witness,
     evaluate,
     frustum_predicate,
+    identity_deviation,
     qudit_detection_predicate,
     two_qubit_noise_threshold,
 )
@@ -203,7 +203,6 @@ def cmd_verify(args) -> tuple:
         raise BadInput("verify requires an explicit --seed")
     target = _build_target(args)
     w = target.witness
-    rng = np.random.default_rng(args.seed)
     checks = []
 
     report_ppt = ppt_report(w.rho0)
@@ -211,14 +210,8 @@ def cmd_verify(args) -> tuple:
     if ppt_needed:
         checks.append(("ppt_all_cuts", report_ppt.minimum >= -1e-10, report_ppt.minimum))
 
-    diff = w.rho0.mat - w.tau0.mat
-    worst_identity = 0.0
-    for _ in range(100):
-        rho = random_density(w.n, rng)
-        lhs = evaluate(w, rho)
-        rhs = -hs_inner(diff, rho - w.tau0.mat).real
-        worst_identity = max(worst_identity, abs(lhs - rhs))
-    checks.append(("induced_inner_product_identity", worst_identity <= 1e-10, worst_identity))
+    identity = identity_deviation(w)
+    checks.append(("induced_inner_product_identity", identity <= 1e-10, identity))
 
     residual = target.decompose().residual(w)
     checks.append(("decomposition_reconstruction", residual <= 1e-10, residual))

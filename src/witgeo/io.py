@@ -32,12 +32,19 @@ def _entries(mat: np.ndarray) -> list[list[float]]:
 
 
 def _floats(values: list) -> np.ndarray:
-    """Float array from a flat list that holds only JSON numbers."""
+    """Float array from a flat list that holds only finite JSON numbers."""
     # exact types: float() would parse strings, and a bool is not a number here
     others = set(map(type, values)) - {int, float}
     if others:
         raise ValueError(f"expected JSON numbers, found {sorted(t.__name__ for t in others)}")
-    return np.array(values, dtype=float)
+    out = np.array(values, dtype=float)
+    if not np.isfinite(out).all():  # json reads NaN, Infinity and 1e400 as floats
+        raise ValueError("expected finite numbers, found NaN or infinity")
+    return out
+
+
+def _number(value) -> float:
+    return float(_floats([value])[0])
 
 
 def _complex(entries) -> np.ndarray:
@@ -114,7 +121,7 @@ def load_witness_matrix(path) -> tuple[np.ndarray, tuple[int, ...], float, float
     with _document(path) as doc:
         mat, dims = matrix_from_doc(doc)
         s0 = doc.get("s0")
-        return mat, dims, float(doc["c0"]), None if s0 is None else float(s0)
+        return mat, dims, _number(doc["c0"]), None if s0 is None else _number(s0)
 
 
 def decomposition_doc(dec: WitnessDecomposition) -> dict:
@@ -145,8 +152,8 @@ def load_decomposition(path) -> WitnessDecomposition:
         for s in doc["settings"]:
             bases = tuple(matrix_from_doc(b)[0] for b in s["party_bases"])
             w = _floats(s["outcome_weights"]["values"]).reshape(s["outcome_weights"]["shape"])
-            settings.append((float(s["weight"]), MeasurementSetting(bases, w)))
-        return WitnessDecomposition(float(doc["identity_coeff"]), tuple(settings))
+            settings.append((_number(s["weight"]), MeasurementSetting(bases, w)))
+        return WitnessDecomposition(_number(doc["identity_coeff"]), tuple(settings))
 
 
 def upb_doc(upb: UpbSet) -> dict:

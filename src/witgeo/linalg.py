@@ -196,10 +196,3 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     a = np.asarray(a)
     return bool(np.abs(a - a.conj().T).max() <= tol)
 
-
-def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix from a complex Wishart draw, PSD by construction."""
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return m

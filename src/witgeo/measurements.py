@@ -114,6 +114,8 @@ class WitnessDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise ValueError("a decomposition needs at least one setting")
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ import numpy as np
 from .linalg import (
     DensityState,
     ProductProjection,
-    hermitian_eigen,
     is_hermitian,
     partial_transpose,
 )
@@ -56,14 +55,9 @@ def ppt_report(rho: DensityState) -> PptReport:
     n = rho.shape.parties
     if n < 2:
         raise ValueError("need at least two parties")
-    out = {}
     others = range(1, n)
-    for r in range(1, n):
-        for subset in itertools.combinations(others, r):
-            pt = partial_transpose(rho, subset)
-            w, _ = hermitian_eigen(pt)
-            out[subset] = float(w[0])
-    return PptReport(out)
+    cuts = itertools.chain.from_iterable(itertools.combinations(others, r) for r in others)
+    return PptReport({c: float(np.linalg.eigvalsh(partial_transpose(rho, c))[0]) for c in cuts})
 
 
 # See-saw stopping rule: a restart ends once a sweep lowers the objective

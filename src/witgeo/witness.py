@@ -12,10 +12,10 @@ The induced-inner-product identity
 
     Tr(W rho) = -<rho0 - tau0, rho - tau0>
 
-holds for every rho and is what the verification suite leans on.  The
-same observable can be assembled through the last separable point on the
-segment from I/N to rho0; both routes are provided and agree
-algebraically.
+holds for every rho; identity_deviation is its worst case over all states,
+which verify checks.  The same observable can be assembled through the
+last separable point on the segment from I/N to rho0; both routes are
+provided and agree algebraically.
 """
 
 from __future__ import annotations
@@ -102,10 +102,20 @@ def segment_witness(rho0: DensityState, tau0: DensityState, s0: float) -> Witnes
 
 def evaluate(w: Witness, rho) -> float:
     """Expectation value Tr(W rho)."""
-    mat = rho.mat if isinstance(rho, DensityState) else np.asarray(rho)
-    if mat.shape != w.matrix.shape:
-        raise ValueError(f"shape mismatch: {mat.shape} vs {w.matrix.shape}")
-    return float(np.trace(w.matrix @ mat).real)
+    mat = rho.mat if isinstance(rho, DensityState) else rho
+    return float(hs_inner(w.matrix, mat).real)  # raises on a shape mismatch
+
+
+def identity_deviation(w: Witness) -> float:
+    """sup over states rho of |Tr(W rho) + Re<rho0 - tau0, rho - tau0>|.
+
+    For unit-trace Hermitian rho the expression is Tr[(H - k I) rho], with
+    H the Hermitian part of W + (rho0 - tau0) and k = Re<rho0 - tau0, tau0>,
+    so the supremum is the largest absolute eigenvalue of H - k I.
+    """
+    diff = w.rho0.mat - w.tau0.mat
+    a = w.matrix + diff - hs_inner(diff, w.tau0.mat).real * np.eye(w.n)
+    return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
 
 
 def detects(w: Witness, rho) -> bool:

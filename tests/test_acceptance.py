@@ -17,7 +17,6 @@ from witgeo.linalg import (
     hs_distance,
     hs_inner,
     partial_transpose,
-    random_density,
     tensor,
 )
 from witgeo.measurements import (
@@ -54,6 +53,7 @@ from witgeo.witness import (
 )
 
 from product_bound import bell_bound_three_qubit, product_bound_objective
+from random_states import random_density
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3

@@ -8,7 +8,9 @@ import pytest
 from witgeo import cli
 from witgeo import io as wio
 from witgeo.cli import main
+from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.upb import tiles as upb_tiles
+from witgeo.witness import Witness
 
 
 def run(capsys, *argv):
@@ -157,6 +159,20 @@ class TestVerifyCommand:
         assert code == 0
         assert doc["failed"] == []
 
+    def test_identity_fault_fails(self, capsys, monkeypatch):
+        # an entrywise 5e-11 offset passes the witness's own 1e-10 form check and
+        # the reconstruction residual, but shifts Tr(W rho) by up to 64 * 5e-11
+        g = ghz_witness(6)
+        w = g.witness
+        faulty = Witness(w.matrix + 5e-11 * np.ones((64, 64)), w.c0, w.rho0, w.tau0)
+        target = cli.Target("ghz6", faulty, lambda: ghz_settings(g), {})
+        monkeypatch.setattr(cli, "_build_target", lambda args: target)
+        code, doc = run_json(capsys, "verify", "ghz", "6", "--seed", "1", "--restarts", "8")
+        assert code == 1
+        assert doc["failed"] == ["induced_inner_product_identity"]
+        value = doc["checks"]["induced_inner_product_identity"]["value"]
+        assert value == pytest.approx(3.2e-9, rel=1e-9)
+
 
 class TestEstimateCommand:
     def test_bell2_z_score(self, capsys, tmp_path):
@@ -227,6 +243,20 @@ class TestEstimateCommand:
         )
         assert code == 2
 
+    @staticmethod
+    def assert_bad_input(capsys, tmp_path, mutate):
+        run_json(capsys, "decompose", "bell2", "--out", str(tmp_path))
+        path = tmp_path / "bell2_decomposition.json"
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["estimate", "bell2", "--decomposition", str(path), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+
     @pytest.mark.parametrize(
         "entries",
         [
@@ -239,16 +269,26 @@ class TestEstimateCommand:
         ids=["string", "null", "ragged", "three_element", "wrong_count"],
     )
     def test_malformed_decomposition_is_bad_input(self, capsys, tmp_path, entries):
-        run_json(capsys, "decompose", "bell2", "--out", str(tmp_path))
-        path = tmp_path / "bell2_decomposition.json"
-        doc = json.loads(path.read_text())
-        doc["settings"][0]["party_bases"][0]["entries"] = entries
-        path.write_text(json.dumps(doc))
-        code = main(["estimate", "bell2", "--decomposition", str(path), "--seed", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ")
-        assert str(path) in captured.err
+        def mutate(doc):
+            doc["settings"][0]["party_bases"][0]["entries"] = entries
+
+        self.assert_bad_input(capsys, tmp_path, mutate)
+
+    @pytest.mark.parametrize("settings", [[], {}], ids=["list", "object"])
+    def test_decomposition_without_settings_is_bad_input(self, capsys, tmp_path, settings):
+        self.assert_bad_input(capsys, tmp_path, lambda doc: doc.update(settings=settings))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.update(identity_coeff=float("nan")),
+            lambda doc: doc["settings"][1].update(weight=float("inf")),
+            lambda doc: doc["settings"][2]["outcome_weights"].update(values=[float("-inf")] * 4),
+        ],
+        ids=["nan_identity_coeff", "infinite_weight", "infinite_outcome_weight"],
+    )
+    def test_non_finite_decomposition_is_bad_input(self, capsys, tmp_path, mutate):
+        self.assert_bad_input(capsys, tmp_path, mutate)
 
 
 BUILDERS = (

@@ -59,6 +59,69 @@ def test_malformed_entries_rejected_naming_file(tmp_path, case):
         wio.load_matrix(path)
 
 
+# json reads NaN, Infinity and out-of-range literals such as 1e400 as floats
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+def write_with(path, doc: dict, token: str) -> None:
+    """Write doc with every "MARK" string replaced by the raw JSON token."""
+    path.write_text(json.dumps(doc).replace('"MARK"', token))
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_matrix_rejects_non_finite_entry(tmp_path, token):
+    doc = wio.matrix_doc(np.eye(4), (2, 2))
+    doc["entries"][5][1] = "MARK"
+    path = tmp_path / "m.json"
+    write_with(path, doc, token)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_matrix(path)
+
+
+@pytest.mark.parametrize("key", ["c0", "s0"])
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_witness_rejects_non_finite_metadata(tmp_path, key, token):
+    doc = wio.witness_doc(segment_witness(max_entangled(2), closest_separable(2), 1 / 3))
+    doc[key] = "MARK"
+    path = tmp_path / "w.json"
+    write_with(path, doc, token)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_witness_matrix(path)
+
+
+DECOMPOSITION_NUMBERS = {
+    "identity_coeff": lambda doc: doc.__setitem__("identity_coeff", "MARK"),
+    "weight": lambda doc: doc["settings"][1].__setitem__("weight", "MARK"),
+    "outcome_weight": lambda doc: doc["settings"][0]["outcome_weights"]["values"].__setitem__(
+        2, "MARK"
+    ),
+    "basis_entry": lambda doc: doc["settings"][2]["party_bases"][1]["entries"][0].__setitem__(
+        0, "MARK"
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(DECOMPOSITION_NUMBERS))
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_decomposition_rejects_non_finite_number(tmp_path, where, token):
+    doc = wio.decomposition_doc(two_qubit_decomposition())
+    DECOMPOSITION_NUMBERS[where](doc)
+    path = tmp_path / "dec.json"
+    write_with(path, doc, token)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_decomposition(path)
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_upb_rejects_non_finite_entry(tmp_path, token):
+    doc = wio.upb_doc(tiles())
+    doc["vectors"][3][1][2][0] = "MARK"
+    path = tmp_path / "upb.json"
+    write_with(path, doc, token)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_upb(path)
+
+
 def test_decomposition_rejects_string_weight(tmp_path):
     path = tmp_path / "dec.json"
     doc = wio.decomposition_doc(two_qubit_decomposition())

@@ -11,9 +11,10 @@ from witgeo.linalg import (
     hs_distance,
     hs_inner,
     partial_transpose,
-    random_density,
     tensor,
 )
+
+from random_states import random_density
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 

@@ -1,0 +1,93 @@
+"""Property test: a damaged decomposition document is bad input, never a crash.
+
+The mutation family starts from the decomposition document that
+``decompose bell2`` stores and applies exactly one of:
+
+* replace one number with NaN, Infinity, 1e400 (which json reads as
+  infinity), a string, null or an empty list;
+* drop one key of one object;
+* empty one list.
+
+``estimate bell2 --decomposition FILE`` must then exit 0 or 2, never 3.
+On exit 0 stdout must be strict JSON (no NaN or Infinity); on exit 2
+stdout is empty and stderr names the file.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from witgeo import io as wio
+from witgeo.cli import main
+from witgeo.measurements import two_qubit_decomposition
+
+TOKENS = ["NaN", "Infinity", "1e400", '"0.5"', "null", "[]"]
+
+
+def _walk(node, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _walk(child, (*path, key))
+
+
+DOC = wio.decomposition_doc(two_qubit_decomposition())
+NUMBERS = [p for p, v in _walk(DOC) if type(v) in (int, float)]
+KEYS = [(*p, k) for p, v in _walk(DOC) if isinstance(v, dict) for k in v]
+LISTS = [p for p, v in _walk(DOC) if isinstance(v, list) and v]
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(NUMBERS), st.sampled_from(TOKENS)),
+    st.tuples(st.just("drop"), st.sampled_from(KEYS), st.just(None)),
+    st.tuples(st.just("empty"), st.sampled_from(LISTS), st.just(None)),
+)
+
+
+def mutated_text(kind, path, token) -> str:
+    doc = json.loads(json.dumps(DOC))
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    if kind == "replace":
+        container[path[-1]] = "MARK"
+        return json.dumps(doc).replace('"MARK"', token)
+    if kind == "drop":
+        del container[path[-1]]
+    else:
+        container[path[-1]] = []
+    return json.dumps(doc)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def decomposition_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "bell2_decomposition.json"
+
+
+def test_stored_document_is_the_mutated_one(capsys, tmp_path):
+    assert main(["decompose", "bell2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "bell2_decomposition.json").read_text()) == DOC
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mutation=MUTATIONS)
+def test_damaged_decomposition_is_bad_input_or_valid(decomposition_file, mutation):
+    decomposition_file.write_text(mutated_text(*mutation))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        argv = ["estimate", "bell2", "--decomposition", str(decomposition_file)]
+        code = main([*argv, "--seed", "1", "--shots", "100"])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert str(decomposition_file) in err.getvalue()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import DensityState, hs_inner, random_density
+from witgeo.linalg import DensityState, hs_inner
+from witgeo.measurements import ghz_witness, standard_witness, three_qubit_witness
 from witgeo.states import (
     closest_separable,
     completely_random,
@@ -15,14 +16,18 @@ from witgeo.states import (
     three_qubit_separable_candidates,
 )
 from witgeo.witness import (
+    Witness,
     detects,
     evaluate,
     frustum_predicate,
+    identity_deviation,
     nearest_witness,
     qudit_detection_predicate,
     segment_witness,
     two_qubit_noise_threshold,
 )
+
+from random_states import random_density, sampled_identity_deviation
 
 # the two-qubit witness matrix: entries 0 and +-1/3
 W2Q = np.zeros((4, 4))
@@ -120,6 +125,33 @@ class TestEvaluate:
         w = bell_witness()
         assert detects(w, w.rho0)
         assert not detects(w, completely_random((2, 2)))
+
+
+WITNESSES = {
+    "bell2": lambda: standard_witness(2),
+    "qudit5": lambda: standard_witness(5),
+    "ghz4": lambda: ghz_witness(4).witness,
+    "threeq": lambda: three_qubit_witness(0.02, 0.05),
+}
+
+
+class TestIdentityDeviation:
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_constructed_witness_holds_exactly(self, name):
+        assert identity_deviation(WITNESSES[name]()) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_perturbation_gives_its_spectral_radius(self, name):
+        # W + E leaves the identity's residual at Tr(E rho), whose worst case
+        # over states is the spectral radius of E; sampled states stay below it
+        w = WITNESSES[name]()
+        rng = np.random.default_rng(41)
+        g = rng.normal(size=(w.n, w.n)) + 1j * rng.normal(size=(w.n, w.n))
+        e = 1e-12 * (g + g.conj().T)
+        perturbed = Witness(w.matrix + e, w.c0, w.rho0, w.tau0)
+        exact = identity_deviation(perturbed)
+        assert abs(exact - np.abs(np.linalg.eigvalsh(e)).max()) <= 1e-15
+        assert sampled_identity_deviation(perturbed, rng) <= exact + 1e-14
 
 
 class TestTwoQubitNoiseThreshold:
