@@ -11,7 +11,6 @@ from .linalg import (
     DensityState,
     ProductProjection,
     SystemShape,
-    hermitian_eigen,
     hs_distance,
     hs_inner,
     hs_norm,

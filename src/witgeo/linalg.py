@@ -21,7 +21,6 @@ import numpy as np
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
-TOL_EIG = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -73,6 +72,8 @@ class DensityState:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match shape {self.shape.dims}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         herm = np.abs(mat - mat.conj().T).max()
         if herm > TOL_HERM:
             raise ValueError(f"not Hermitian: deviation {herm:.3e}")
@@ -176,20 +177,6 @@ def partial_transpose(rho, parties, dims=None) -> np.ndarray:
     for p in parties:
         perm[p], perm[n + p] = perm[n + p], perm[p]
     return t.transpose(perm).reshape(mat.shape)
-
-
-def hermitian_eigen(a: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Rejects
-    non-Hermitian input instead of silently symmetrizing.
-    """
-    a = np.asarray(a, dtype=complex)
-    dev = np.abs(a - a.conj().T).max()
-    if dev > TOL_HERM:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e}")
-    w, v = np.linalg.eigh(a)
-    return w, v
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:

@@ -7,13 +7,13 @@ from witgeo.linalg import (
     DensityState,
     ProductProjection,
     SystemShape,
-    hermitian_eigen,
     hs_distance,
     hs_inner,
     partial_transpose,
     tensor,
 )
 
+from hermitian import hermitian_eigen
 from random_states import random_density
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -174,6 +174,15 @@ class TestDensityState:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             DensityState.from_matrix(BELL, (2, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("entries", [[(2, 2)], [(0, 1), (1, 0)]])
+    def test_rejects_non_finite(self, bad, entries):
+        m = np.eye(4, dtype=complex) / 4
+        for entry in entries:
+            m[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState.from_matrix(m, (2, 2))
 
     def test_matrix_is_readonly(self):
         st = DensityState.from_matrix(BELL, (2, 2))

@@ -8,6 +8,7 @@ from witgeo.linalg import tensor
 from witgeo.measurements import (
     _PAULI_BASES,
     MeasurementSetting,
+    WitnessDecomposition,
     complete_basis,
     far_face_decomposition,
     ghz_decomposition,
@@ -297,10 +298,20 @@ class TestShotEstimate:
         u = np.eye(2, dtype=complex) * np.sqrt(0.9)  # not a basis: probs sum to 0.81
         object.__setattr__(bad, "party_bases", (u, u))
         object.__setattr__(bad, "weights", dec.settings[0][1].weights)
-        from witgeo.measurements import WitnessDecomposition
-
         broken = WitnessDecomposition(0.0, ((1.0, bad),))
         with pytest.raises(ValueError, match="sum"):
+            shot_estimate(broken, max_entangled(2), 10, seed=1)
+
+    def test_nan_setting_guard(self):
+        # a NaN basis entry makes the probability sum NaN, which no tolerance test passes
+        dec = two_qubit_decomposition()
+        bad = MeasurementSetting.__new__(MeasurementSetting)
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = np.nan
+        object.__setattr__(bad, "party_bases", (u, u))
+        object.__setattr__(bad, "weights", dec.settings[0][1].weights)
+        broken = WitnessDecomposition(0.0, (dec.settings[0], (1.0, bad)))
+        with pytest.raises(ValueError, match="setting 1 .* sum to nan"):
             shot_estimate(broken, max_entangled(2), 10, seed=1)
 
 
@@ -315,6 +326,21 @@ class TestMeasurementSettingValidation:
             MeasurementSetting(
                 (np.eye(2, dtype=complex),), np.array([[0.5, 0.5], [0.0, 0.0]])
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_basis(self, bad, entry):
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting((np.eye(2), u), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        w = np.zeros((2, 2))
+        w[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting((np.eye(2), np.eye(2)), w)
 
     def test_joint_probabilities_normalized(self):
         dec = qudit_decomposition(3)

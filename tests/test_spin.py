@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import hermitian_eigen, hs_inner
+from witgeo.linalg import hs_inner
 from witgeo.spin import (
     eta_power,
     is_prime,
@@ -14,6 +14,8 @@ from witgeo.spin import (
     spin_reconstruct,
     spin_relations_check,
 )
+
+from hermitian import hermitian_eigen
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
