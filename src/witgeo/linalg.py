@@ -16,8 +16,9 @@ from functools import reduce
 
 import numpy as np
 
-# Validation tolerances.  Matrices here stay small (N <= 128) and well
-# conditioned, so these are comfortable.
+# Validation tolerances.  The states here are well conditioned, and up to
+# ghz 10 (N = 1024), the largest target built in practice, these are
+# comfortable.
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9

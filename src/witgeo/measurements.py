@@ -103,8 +103,7 @@ class MeasurementSetting:
         if rho.dims != self.dims:
             raise ValueError(f"state shape {rho.dims} != setting shape {self.dims}")
         a = self.joint_isometry()
-        p = np.einsum("io,ij,jo->o", a.conj(), rho.mat, a, optimize=True).real
-        return p.reshape(self.dims)
+        return (a.conj() * (rho.mat @ a)).sum(axis=0).real.reshape(self.dims)
 
 
 @dataclass(frozen=True)
@@ -376,40 +375,23 @@ class ShotEstimate(NamedTuple):
     shots_per_setting: int
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` for u in [0, 1), through a bucket table."""
-    m = 1 << (min(64 * len(cdf), len(u)) - 1).bit_length()
-    edges = np.searchsorted(cdf[:-1], np.arange(m + 1) / m, side="right")
-    table = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-    draws = table[(u * m).astype(np.intp)]
-    step = draws < 0
-    draws[step] = np.searchsorted(cdf, u[step], side="right")
-    return draws
-
-
 def shot_estimate(
     dec: WitnessDecomposition, rho: DensityState, shots_per_setting: int, seed: int
 ) -> ShotEstimate:
     """Plug-in estimate of Tr(W rho) from simulated local measurements.
 
-    For each setting, joint outcomes are drawn from the exact outcome
-    distribution by inverse CDF; the per-setting statistic is the sample
-    mean of the outcome weights.  Substreams are derived from (seed,
-    setting index), so results are bit-reproducible and independent of
-    evaluation order.  The estimator is unbiased with standard error
-    assembled from per-setting sample variances.
-
-    The inverse CDF reads a bucket table (indexed search, Chen & Asau
-    1974): [0, 1) is cut into m buckets, m a power of two of at least 64
-    per outcome or per draw, whichever is fewer, so u * m and j / m are
-    exact.  cdf[:-1] is a cumsum of non-negative terms, hence sorted, and
-    cdf[-1] = 1 > u, so a draw's answer is the count of cdf[:-1] entries
-    <= u, bounded by the counts at its bucket's two edges.  Equal counts
-    mean no CDF step, so the bucket has exactly one answer; only draws in
-    buckets with a step are binary searched.
+    For each setting, the outcome counts of ``shots_per_setting`` shots
+    are one multinomial draw from the exact outcome distribution; the
+    per-setting statistic is the sample mean of the outcome weights, and
+    the sample mean and variance depend on the shots only through those
+    counts.  Substreams are derived from (seed, setting index), so
+    results are bit-reproducible and independent of evaluation order.
+    The estimator is unbiased with standard error assembled from
+    per-setting sample variances.  Time and memory per setting grow with
+    the number of outcomes, not with the number of shots.
     """
-    if shots_per_setting < 1:
-        raise ValueError("need at least one shot per setting")
+    if not 1 <= shots_per_setting < 2**63:  # numpy draws int64 counts
+        raise ValueError(f"shots per setting must lie in [1, {2**63 - 1}]")
     estimate = dec.identity_coeff
     variance = 0.0
     for idx, (sw, setting) in enumerate(dec.settings):
@@ -420,14 +402,16 @@ def shot_estimate(
                 f"setting {idx} outcome probabilities sum to {total}, not 1"
             )
         probs = np.clip(probs, 0.0, None)
-        cdf = np.cumsum(probs / probs.sum())
-        cdf[-1] = 1.0  # guard the top bin against cumsum rounding
         rng = np.random.default_rng([seed, idx])
-        draws = _inverse_cdf(cdf, rng.random(shots_per_setting))
-        values = setting.weights.ravel()[draws]
-        mean = float(values.mean())
-        # a constant sample has variance exactly 0; var() would leave rounding
-        var = float(values.var(ddof=1)) if values.min() != values.max() else 0.0
+        counts = rng.multinomial(shots_per_setting, probs / probs.sum())
+        w = setting.weights.ravel()
+        mean = float(counts @ w) / shots_per_setting
+        seen = w[counts > 0]
+        # a constant sample has variance exactly 0; the sum would leave rounding
+        if seen.min() == seen.max():
+            var = 0.0
+        else:
+            var = float(counts @ (w - mean) ** 2) / (shots_per_setting - 1)
         estimate += sw * mean
         variance += sw * sw * var / shots_per_setting
     return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting)

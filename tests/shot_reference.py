@@ -1,10 +1,11 @@
 """The shot estimator with one binary search per shot, as the library ran it before.
 
-``measurements.shot_estimate`` reads most draws from a bucket table and
-binary searches only the rest.  This loop searches the CDF on every shot,
-with the same rng substreams, CDF and statistics, so
-``tests/test_shot_sampler.py`` requires its ``ShotEstimate`` to equal the
-library's.
+``measurements.shot_estimate`` draws each setting's outcome counts at
+once from their multinomial law.  This loop draws every shot on its own
+by binary search of the CDF, with the same rng substreams and
+statistics, so it draws from the same law through a different route;
+``tests/test_shot_sampler.py`` requires the two estimators to agree in
+law.
 """
 
 import numpy as np

@@ -210,6 +210,19 @@ class TestEstimateCommand:
         code, _ = run(capsys, "estimate", "bell2", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "shots,expected", [(2**63 - 1, 0), (2**63, 2), (10**30, 2)], ids=["max", "2^63", "1e30"]
+    )
+    def test_shot_count_range(self, capsys, tmp_path, shots, expected):
+        # numpy draws int64 counts; a larger count is bad input, not an internal error
+        argv = ["estimate", "bell2", "--shots", str(shots), "--seed", "1", "--out", str(tmp_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected
+        if expected == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: shots per setting must lie in [1, ")
+
     @pytest.mark.parametrize("d", ("3", "7"))
     def test_zero_variance_target(self, capsys, tmp_path, d):
         # every draw on rho0 carries the weight 1/d, so the estimate has no spread

@@ -1,15 +1,20 @@
-"""The bucket-table shot sampler: exact against the per-shot binary search.
+"""The multinomial shot sampler of ``measurements.shot_estimate``.
 
-``measurements.shot_estimate`` draws outcomes through ``_inverse_cdf``.
-These checks hold it to the search it replaced:
+Each setting's outcome counts are one multinomial draw, so no single
+shot can be compared with a per-shot search; these checks hold the
+estimator to its law instead:
 
-* every ``ShotEstimate`` equals the per-shot search loop kept in
-  ``tests/shot_reference.py``, over the in-repo targets, states and shot
-  counts;
-* on adversarial CDFs (Hypothesis, derandomized) every draw equals
-  ``np.searchsorted(cdf, u, side="right")``;
-* the per-shot fallback search sees only a small share of the draws,
-  and a small sample builds a table of no more than twice its size.
+* on adversarial probability vectors (Hypothesis, derandomized) the
+  counts are a sample of the shots: non-negative, summing to the shot
+  count, and none on an outcome of probability 0 other than the last;
+* over the in-repo targets and states the estimate lies within five
+  standard errors of the exact value, or equals it at zero variance,
+  and a repeat gives the same ``ShotEstimate``;
+* over fixed seeds the mean estimate and mean squared standard error
+  equal those of the per-shot search loop kept in
+  ``tests/shot_reference.py``, within four standard errors;
+* 10**15 shots per setting, past any per-shot array, give an estimate
+  within five standard errors.
 """
 
 import numpy as np
@@ -18,9 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shot_reference
-from witgeo import measurements
 from witgeo.measurements import (
-    _inverse_cdf,
+    WitnessDecomposition,
     far_face_decomposition,
     ghz_decomposition,
     qudit_decomposition,
@@ -32,6 +36,7 @@ from witgeo.measurements import (
 )
 from witgeo.states import completely_random
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
+from witgeo.witness import evaluate
 
 
 def _ghz(n):
@@ -58,101 +63,114 @@ TARGETS = {
 }
 
 
-@pytest.mark.parametrize("target", TARGETS)
-def test_equals_per_shot_search(target):
-    w, dec = TARGETS[target]()
-    for state in (w.rho0, w.tau0, completely_random(w.dims)):
-        for shots in (1, 7, 1000, 100_000):
-            expected = shot_reference.shot_estimate(dec, state, shots, seed=11)
-            assert shot_estimate(dec, state, shots, seed=11) == expected
+def _states(w):
+    return {"rho0": w.rho0, "tau0": w.tau0, "d0": completely_random(w.dims)}
 
 
-# every bucket edge j / m for m <= 2**15, the library's bucket count up to 512 outcomes
-EDGES = np.arange(2**15) / 2**15
+class _FixedSetting:
+    """A setting stand-in whose outcome distribution is given, not computed."""
+
+    def __init__(self, probs):
+        self.probs = probs
+        self.weights = np.arange(len(probs), dtype=float)
+
+    def joint_probabilities(self, rho):
+        return self.probs
+
+
+def _drawn_counts(probs, shots, seed):
+    """The counts shot_estimate draws for one setting with outcome distribution probs."""
+    drawn = []
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, key):
+            self.rng = make(key)
+
+        def multinomial(self, n, pvals):
+            drawn.append(self.rng.multinomial(n, pvals))
+            return drawn[-1]
+
+    dec = WitnessDecomposition(0.0, ((1.0, _FixedSetting(probs)),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", Recording)
+        est = shot_estimate(dec, None, shots, seed)
+    (counts,) = drawn
+    return counts, est
+
+
 TINY = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 2.0**-60, 1e-17]
 PROB = st.one_of(st.just(0.0), st.sampled_from(TINY), st.floats(0.0, 1.0))
 
 
 @st.composite
-def library_cdfs(draw):
-    """The library's CDF of probabilities built from runs, with zero runs and tiny values."""
+def probability_vectors(draw):
+    """Runs of equal probabilities, with zero runs, subnormals and an optional exactly-zero last."""
     runs = draw(st.lists(st.tuples(PROB, st.integers(1, 40)), min_size=1, max_size=12))
-    probs = np.repeat([p for p, _ in runs], [k for _, k in runs])
+    raw = np.repeat([p for p, _ in runs], [k for _, k in runs])
+    if not raw.sum() > 0:
+        raw[draw(st.integers(0, len(raw) - 1))] = 1.0
+    probs = raw / raw.sum()
+    # joint_probabilities can round a zero probability to a tiny negative one
+    probs[probs == 0] = draw(st.sampled_from([0.0, -1e-17, -5e-324]))
     if draw(st.booleans()):
-        probs = np.append(probs, 0.0)  # the forced cdf[-1] = 1 can select it
-    if not probs.sum() > 0:
-        probs[draw(st.integers(0, len(probs) - 1))] = 1.0
-    cdf = np.cumsum(probs / probs.sum())
-    cdf[-1] = 1.0
-    return cdf
+        probs = np.append(probs, 0.0)
+    return probs
 
 
-@st.composite
-def overshooting_cdfs(draw):
-    """A sorted body whose last entries round above 1, then the forced 1.0."""
-    body = draw(st.lists(st.floats(0.0, 1.0), max_size=60))
-    above = [np.nextafter(1.0, 2.0), 1.0 + 2 * np.finfo(float).eps]
-    tail = draw(st.lists(st.sampled_from(above), min_size=1, max_size=3))
-    return np.append(np.sort(np.concatenate([body, tail])), 1.0)
-
-
-@st.composite
-def one_bucket_cdfs(draw):
-    """Every step below the last inside one 2**-15 wide bucket: one bucket for every m here."""
-    j = draw(st.integers(0, 2**15 - 1))
-    offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60))
-    return np.append(np.sort((j + np.array(offsets)) / 2**15), 1.0)
-
-
-def _keys(cdf: np.ndarray, seed: int) -> np.ndarray:
-    """0, 1 - 2**-53, every bucket edge, every CDF value and their neighbours, and random draws."""
-    pts = np.concatenate([EDGES, cdf, [0.0, 1.0 - 2.0**-53]])
-    near = np.concatenate([pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0)])
-    near = near[(near >= 0.0) & (near < 1.0)]
-    return np.concatenate([near, np.random.default_rng(seed).random(500)])
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
-    cdf=st.one_of(st.just(np.array([1.0])), library_cdfs(), overshooting_cdfs(), one_bucket_cdfs()),
+    probs=st.one_of(st.just(np.array([1.0])), probability_vectors()),
+    shots=st.one_of(st.sampled_from([1, 2, 7, 10**15, 2**63 - 1]), st.integers(1, 10**6)),
     seed=st.integers(0, 2**32 - 1),
-    few=st.integers(1, 3000),
 )
-def test_draws_equal_searchsorted(cdf, seed, few):
-    u = _keys(cdf, seed)
-    # fewer draws than 64 per outcome give a table of fewer buckets
-    for keys in (u, np.random.default_rng(seed).choice(u, few)):
-        assert np.array_equal(_inverse_cdf(cdf, keys), np.searchsorted(cdf, keys, side="right"))
+def test_counts_are_a_sample_of_the_shots(probs, shots, seed):
+    counts, est = _drawn_counts(probs, shots, seed)
+    assert counts.shape == probs.shape
+    assert (counts >= 0).all()
+    assert int(counts.sum()) == shots
+    assert not counts[:-1][probs[:-1] <= 0].any()
+    assert est.estimate == float(counts @ np.arange(len(probs), dtype=float)) / shots
 
 
-def _searches(monkeypatch, dec, shots):
-    """Keys of every np.searchsorted call: (bucket-edge searches, per-shot searches)."""
-    calls = []
-    search = np.searchsorted
-
-    def record(a, v, *args, **kwargs):
-        calls.append(np.asarray(v))
-        return search(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(measurements.np, "searchsorted", record)
-    shot_estimate(dec, completely_random(dec.dims), shots, seed=4)
-    # the bucket-edge search ends at the key 1.0; shot keys lie in [0, 1)
-    edges = [v for v in calls if v.size and v[-1] == 1.0]
-    return edges, [v for v in calls if not (v.size and v[-1] == 1.0)]
-
-
-@pytest.mark.parametrize("target", ["ghz8", "qudit13"])
-def test_fallback_search_sees_few_draws(target, monkeypatch):
-    _, dec = TARGETS[target]()
-    shots = 100_000
-    _, per_shot = _searches(monkeypatch, dec, shots)
-    assert len(per_shot) <= len(dec.settings)
-    assert sum(v.size for v in per_shot) <= len(dec.settings) * shots / 16
+@pytest.mark.parametrize("target", TARGETS)
+def test_within_five_standard_errors(target):
+    w, dec = TARGETS[target]()
+    for name, state in _states(w).items():
+        exact = evaluate(w, state)
+        for shots in (1000, 100_000):
+            est = shot_estimate(dec, state, shots, seed=11)
+            assert est == shot_estimate(dec, state, shots, seed=11)
+            if est.stderr == 0.0:
+                assert abs(est.estimate - exact) <= 1e-12, (name, shots, est, exact)
+            else:
+                z = (est.estimate - exact) / est.stderr
+                assert abs(z) <= 5, (name, shots, est, exact)
 
 
-@pytest.mark.parametrize("shots", [1, 7, 1000])
-def test_table_never_outgrows_the_sample(shots, monkeypatch):
-    _, dec = TARGETS["ghz8"]()
-    edges, _ = _searches(monkeypatch, dec, shots)
-    assert len(edges) == len(dec.settings)
-    assert all(len(v) - 1 <= 2 * shots for v in edges)
+def _means_agree(a, b, tol=1e-12):
+    """Equal sample means within four standard errors, or to tol where neither sample varies."""
+    a, b = np.asarray(a), np.asarray(b)
+    se = np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    return abs(a.mean() - b.mean()) <= max(4 * se, tol)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_equals_per_shot_search(target):
+    # equal in law: the two estimators draw on disjoint seeds
+    w, dec = TARGETS[target]()
+    shots, seeds = 1000, range(40)
+    for name, state in _states(w).items():
+        lib = [shot_estimate(dec, state, shots, seed=s) for s in seeds]
+        ref = [shot_reference.shot_estimate(dec, state, shots, seed=1000 + s) for s in seeds]
+        assert _means_agree([e.estimate for e in lib], [e.estimate for e in ref]), name
+        assert _means_agree([e.stderr**2 for e in lib], [e.stderr**2 for e in ref]), name
+
+
+def test_quadrillion_shots_per_setting():
+    # counts are drawn at once, so memory does not grow with the shot count
+    w, dec = TARGETS["qudit3"]()
+    d0 = completely_random(w.dims)
+    est = shot_estimate(dec, d0, 10**15, seed=5)
+    assert est.stderr > 0
+    assert abs(est.estimate - evaluate(w, d0)) <= 5 * est.stderr

@@ -22,6 +22,18 @@ def test_no_assert_statements():
     assert not found, f"assert statements in witgeo: {found}"
 
 
+def test_no_einsum_calls():
+    # contractions go through matmul and kron: einsum plans its path on every call
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+    ]
+    assert not found, f"einsum calls in witgeo: {found}"
+
+
 def test_package_never_loads_scipy():
     # a fresh interpreter: other test modules import scipy into this one
     src = str(Path(witgeo.__file__).parent.parent)
