@@ -8,7 +8,8 @@ written by round-trip repr, so readers recover the exact doubles.  The
 witness document is a matrix document plus a {"c0", "s0"} metadata block;
 the decomposition document lists the identity coefficient and, per
 setting, the party bases (as matrix documents) and the dense weight
-table; the UPB document stores per-party complex factor lists.
+table; the UPB document stores per-party complex factor lists and is
+only read.
 """
 
 from __future__ import annotations
@@ -91,18 +92,8 @@ def save_matrix(path, mat: np.ndarray, dims) -> None:
     _save(path, matrix_doc(mat, dims))
 
 
-def load_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
-    with _document(path) as doc:
-        return matrix_from_doc(doc)
-
-
 def save_state(path, state: DensityState) -> None:
     save_matrix(path, state.mat, state.dims)
-
-
-def load_state(path) -> DensityState:
-    with _document(path) as doc:
-        return DensityState.from_matrix(*matrix_from_doc(doc))
 
 
 def witness_doc(w: Witness) -> dict:
@@ -154,17 +145,6 @@ def load_decomposition(path) -> WitnessDecomposition:
             w = _floats(s["outcome_weights"]["values"]).reshape(s["outcome_weights"]["shape"])
             settings.append((_number(s["weight"]), MeasurementSetting(bases, w)))
         return WitnessDecomposition(_number(doc["identity_coeff"]), tuple(settings))
-
-
-def upb_doc(upb: UpbSet) -> dict:
-    return {
-        "shape": list(upb.shape.dims),
-        "vectors": [[_entries(factor) for factor in vec] for vec in upb.vectors],
-    }
-
-
-def save_upb(path, upb: UpbSet) -> None:
-    _save(path, upb_doc(upb))
 
 
 def load_upb(path) -> UpbSet:

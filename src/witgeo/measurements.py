@@ -85,10 +85,6 @@ class MeasurementSetting:
     def dims(self) -> tuple[int, ...]:
         return tuple(u.shape[0] for u in self.party_bases)
 
-    def projector(self, party: int, outcome: int) -> np.ndarray:
-        v = self.party_bases[party][:, outcome]
-        return np.outer(v, v.conj())
-
     def joint_isometry(self) -> np.ndarray:
         """Kron of the party bases; column o is the joint outcome vector."""
         return reduce(np.kron, self.party_bases)
@@ -130,13 +126,6 @@ class WitnessDecomposition:
     def residual(self, w) -> float:
         target = w.matrix if isinstance(w, Witness) else np.asarray(w)
         return float(np.abs(self.matrix() - target).max())
-
-    def expectation(self, rho: DensityState) -> float:
-        """Exact Tr(W rho) through the settings (no sampling)."""
-        val = self.identity_coeff
-        for sw, setting in self.settings:
-            val += sw * float(np.sum(setting.weights * setting.joint_probabilities(rho)))
-        return val
 
 
 _S = 1 / np.sqrt(2)

@@ -10,10 +10,6 @@
   the returned value is an upper bound on the true minimum over it, with
   restart consensus as the confidence signal.  Never a certified global
   minimum.
-* product_from_angles: the product projection with local vectors
-  (cos t_k, e^{i phi_k} sin t_k), the parametrization of the three-qubit
-  product bound.  That bound has the closed form 2*sqrt(2); see
-  measurements.three_qubit_witness.
 """
 
 from __future__ import annotations
@@ -41,9 +37,6 @@ class PptReport:
     @property
     def minimum(self) -> float:
         return min(self.min_eigenvalues.values())
-
-    def is_ppt(self, tol: float = 1e-10) -> bool:
-        return self.minimum >= -tol
 
 
 def ppt_report(rho: DensityState) -> PptReport:
@@ -150,15 +143,3 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
         values=tuple(values),
     )
 
-
-# ----------------------------------------------------------------------------
-# three-qubit product-state bound
-
-
-def product_from_angles(thetas, phis) -> ProductProjection:
-    """Product projection with local vectors (cos t_k, e^{i phi_k} sin t_k)."""
-    facs = tuple(
-        np.array([np.cos(t), np.exp(1j * p) * np.sin(t)], dtype=complex)
-        for t, p in zip(thetas, phis)
-    )
-    return ProductProjection(facs)

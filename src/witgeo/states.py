@@ -3,11 +3,10 @@
 """Constructors for the concrete states used throughout the toolkit.
 
 Bipartite side: maximally entangled qudit states, Schmidt-diagonal pure
-states, their closest separable state, and seeded noise near the
-completely random state.  Multipartite side: the n-qubit GHZ family with
-its dephased and corner-correlated separable companions, and the
-two-parameter three-qubit bound entangled family with its separable
-candidates.
+states and the closest separable state of the maximally entangled one.
+Multipartite side: the n-qubit GHZ family with its dephased and
+corner-correlated separable companions, and the two-parameter
+three-qubit bound entangled family with its separable candidates.
 
 Every constructor returns a validated DensityState.  Constructors with a
 second, independent formula for the same matrix (the three-qubit family,
@@ -52,40 +51,6 @@ def schmidt_state(amps) -> DensityState:
 def max_entangled(d: int) -> DensityState:
     """Maximally entangled state sum_k |kk>/sqrt(d) on a d x d system."""
     return schmidt_state(np.full(d, 1.0 / np.sqrt(d)))
-
-
-def noisy_mixture(p: float, state: DensityState, noise: DensityState) -> DensityState:
-    """Convex combination p*state + (1-p)*noise."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter {p} out of [0, 1]")
-    if state.dims != noise.dims:
-        raise ValueError(f"shape mismatch: {state.dims} vs {noise.dims}")
-    return DensityState(p * state.mat + (1.0 - p) * noise.mat, state.shape)
-
-
-def noise_ball(dims, delta: float, seed: int) -> DensityState:
-    """A seeded valid density within Hilbert-Schmidt distance delta of I/N.
-
-    Draws a traceless Hermitian direction with unit HS norm, steps 0.9*delta
-    along it from I/N, and halves the step until the result is PSD.  The
-    maximally mixed state is interior, so this terminates.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    shape = SystemShape(tuple(dims))
-    n = shape.size
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (g + g.conj().T) / 2
-    h -= np.trace(h) / n * np.eye(n)
-    h /= np.sqrt(np.vdot(h, h).real)
-    base = np.eye(n, dtype=complex) / n
-    scale = 0.9 * delta
-    while True:
-        sigma = base + scale * h
-        if np.linalg.eigvalsh(sigma).min() >= 0.0:
-            return DensityState(sigma, shape)
-        scale /= 2
 
 
 def closest_separable(d: int, rho0: DensityState | None = None) -> DensityState:
@@ -204,16 +169,6 @@ def _bloch_eigvec(pauli: np.ndarray, sign: int) -> np.ndarray:
     return vec * (abs(vec[k]) / vec[k])
 
 
-def four_vector(mat: np.ndarray) -> tuple[float, float, float, float]:
-    """Anti-diagonal parameters of an 8x8 matrix, read center-outward.
-
-    Returns (m34, m25, m16, m07) where m_ij is the (real) entry at
-    positions (i, j) and (j, i).
-    """
-    mat = np.asarray(mat)
-    return tuple(float(mat[3 - i, 4 + i].real) for i in range(4))
-
-
 def _anti_diagonal_density(fv) -> np.ndarray:
     mat = np.eye(8, dtype=complex) / 8
     for i, v in enumerate(fv):
@@ -289,11 +244,5 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
         SystemShape((2, 2, 2)),
     )
     d0 = np.eye(8, dtype=complex) / 8
-    segment_mat = (rho.mat + 8 * t * d0) / (1 + 8 * t)
-    segment = DensityState(segment_mat, SystemShape((2, 2, 2)))
-    # sanity: segment really lies on [I/N, rho]
-    s = 1.0 / (1 + 8 * t)
-    dev = np.abs(segment.mat - ((1 - s) * d0 + s * rho.mat)).max()
-    if dev > 1e-12:
-        raise AssertionError(f"segment point off the line by {dev:.3e}")
+    segment = DensityState((rho.mat + 8 * t * d0) / (1 + 8 * t), SystemShape((2, 2, 2)))
     return SeparableCandidates(nearest, segment)

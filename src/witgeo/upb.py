@@ -18,8 +18,8 @@ witness
 
 detects rho0 while staying nonnegative on the separable set; it
 coincides with the hyperplane construction through the segment point
-tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m, and the constructor
-checks that coincidence explicitly.
+tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m, and Witness checks
+that coincidence on construction.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ class UpbSet:
         return np.outer(v, v.conj())
 
     def gram(self) -> np.ndarray:
-        vs = [self.product_vector(k) for k in range(self.m)]
-        return np.array([[np.vdot(u, v) for v in vs] for u in vs])
+        # the overlap of two product vectors is the product of the party overlaps,
+        # so no vector of the full size N is formed
+        parties = [np.array(factors) for factors in zip(*self.vectors)]  # each (m, d_k)
+        return reduce(np.multiply, [f.conj() @ f.T for f in parties])
 
 
 def tiles() -> UpbSet:
@@ -129,12 +131,6 @@ class EpsilonEstimate(NamedTuple):
     consensus: int
     restarts: int
 
-    def summary(self) -> str:
-        return (
-            f"eps = {self.epsilon:.12g} (upper bound, restart consensus "
-            f"{self.consensus}/{self.restarts})"
-        )
-
 
 def estimate_epsilon(upb: UpbSet, restarts: int = 64, seed: int = 0) -> EpsilonEstimate:
     """Estimate eps = m * inf Tr(mu0 sigma) over product states by see-saw.
@@ -162,8 +158,8 @@ def estimate_epsilon(upb: UpbSet, restarts: int = 64, seed: int = 0) -> EpsilonE
 def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     """Witness eps*N/(N-m) * (mu0 - eps/m * I) for the UPB's bound entangled state.
 
-    Also assembles the hyperplane form through tau0 = (1-s0) I/N + s0 rho0
-    at s0 = 1 - eps*N/m and insists the two constructions coincide.
+    The hyperplane data are tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m
+    and its c0; Witness checks the closed form against tau0 + c0 I - rho0.
     (tau0 is a hyperplane intersection point here, not itself separable.)
     """
     n = upb.shape.size
@@ -178,34 +174,4 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     tau0_mat = (1 - s0) * np.eye(n) / n + s0 * rho0.mat
     tau0 = DensityState(tau0_mat, upb.shape)
     c0 = hs_inner(tau0_mat, rho0.mat - tau0_mat).real
-    via_hyperplane = tau0_mat + c0 * np.eye(n) - rho0.mat
-    dev = np.abs(closed - via_hyperplane).max()
-    if dev > 1e-10:
-        raise AssertionError(f"far-face constructions disagree by {dev:.3e}")
     return Witness(matrix=closed, c0=c0, rho0=rho0, tau0=tau0, s0=s0)
-
-
-def reweighted_bound_entangled(upb: UpbSet, weights) -> DensityState:
-    """Bound entangled neighbor (N*I/N - b*mu_b)/(N-b) from reweighted projectors.
-
-    mu_b = sum_k p_k |phi_k><phi_k| with b the reciprocal of the largest
-    weight.  Requires nonnegative weights summing to one; rejects any
-    result that fails positive semidefiniteness.
-    """
-    p = np.asarray(weights, dtype=float)
-    if len(p) != upb.m:
-        raise ValueError(f"need {upb.m} weights, got {len(p)}")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError("weights must be nonnegative and sum to one")
-    n = upb.shape.size
-    b = 1.0 / p.max()
-    if b >= n:
-        raise ValueError(f"b = {b} must stay below N = {n}")
-    mu_b = sum(p[k] * upb.projector(k) for k in range(upb.m))
-    mat = (np.eye(n) - b * mu_b) / (n - b)
-    low = np.linalg.eigvalsh(mat).min()
-    if low < -1e-10:
-        raise ValueError(
-            f"reweighted state not PSD (min eig {low:.3e}); weights too concentrated"
-        )
-    return DensityState(mat, upb.shape)

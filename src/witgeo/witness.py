@@ -46,14 +46,16 @@ class Witness:
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # every Witness is built by the library, so a broken form or c0 is a
+        # fault of the program, not of its input
         n = self.rho0.n
         eye = np.eye(n)
         dev = np.abs(mat - (self.tau0.mat + self.c0 * eye - self.rho0.mat)).max()
         if dev > 1e-10:
-            raise ValueError(f"witness matrix violates its defining form by {dev:.3e}")
+            raise AssertionError(f"witness matrix violates its defining form by {dev:.3e}")
         c0_check = hs_inner(self.tau0.mat, self.rho0.mat - self.tau0.mat).real
         if abs(c0_check - self.c0) > 1e-10:
-            raise ValueError(f"c0 = {self.c0} inconsistent with states ({c0_check})")
+            raise AssertionError(f"c0 = {self.c0} inconsistent with states ({c0_check})")
         if hs_inner(mat, self.rho0.mat).real >= 0:
             raise ValueError("witness does not detect its target state")
 
@@ -116,11 +118,6 @@ def identity_deviation(w: Witness) -> float:
     diff = w.rho0.mat - w.tau0.mat
     a = w.matrix + diff - hs_inner(diff, w.tau0.mat).real * np.eye(w.n)
     return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
-
-
-def detects(w: Witness, rho) -> bool:
-    """True when the expectation value is decisively negative."""
-    return evaluate(w, rho) < -DETECTION_TOL
 
 
 def two_qubit_noise_threshold(a: float, b: float, delta: float = 0.0) -> float:

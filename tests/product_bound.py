@@ -3,11 +3,23 @@
 The bound has the closed form 2*sqrt(2) (README, "Three-qubit family:
 the published bound is 2*sqrt(2)"), so the library keeps no search for
 it.  This multistart L-BFGS-B maximization is criterion 6's independent
-route to that value; the test files import it from here.
+route to that value; the test files import it from here, with the
+product states of the angle parametrization.
 """
 
 import numpy as np
 from scipy.optimize import minimize
+
+from witgeo.linalg import ProductProjection
+
+
+def product_from_angles(thetas, phis) -> ProductProjection:
+    """Product projection with local vectors (cos t_k, e^{i phi_k} sin t_k)."""
+    facs = tuple(
+        np.array([np.cos(t), np.exp(1j * p) * np.sin(t)], dtype=complex)
+        for t, p in zip(thetas, phis)
+    )
+    return ProductProjection(facs)
 
 
 def bell_correlation(phi1: float, phi2: float, phi3: float) -> float:

@@ -27,8 +27,8 @@ from witgeo.measurements import (
     three_qubit_witness,
     two_qubit_decomposition,
 )
-from witgeo.oracle import SeeSawConfig, min_over_products, ppt_report, product_from_angles
-from witgeo.spin import projection_family, spin_matrix, spin_relations_check
+from witgeo.oracle import SeeSawConfig, min_over_products, ppt_report
+from witgeo.spin import projection_family
 from witgeo.states import (
     closest_separable,
     completely_random,
@@ -37,8 +37,6 @@ from witgeo.states import (
     ghz_dephased,
     ghz_segment_weight,
     max_entangled,
-    noise_ball,
-    noisy_mixture,
     schmidt_state,
     three_qubit_family,
     three_qubit_family_mt,
@@ -46,14 +44,16 @@ from witgeo.states import (
 )
 from witgeo.upb import bound_entangled, estimate_epsilon, far_face_witness, tiles, uniform_mixture
 from witgeo.witness import (
-    detects,
+    DETECTION_TOL,
     evaluate,
     qudit_detection_predicate,
     two_qubit_noise_threshold,
 )
 
-from product_bound import bell_bound_three_qubit, product_bound_objective
+from paper_states import noise_ball
+from product_bound import bell_bound_three_qubit, product_bound_objective, product_from_angles
 from random_states import random_density
+from spin_reference import spin_matrix, spin_relations
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3
@@ -176,12 +176,8 @@ def test_criterion_04_projection_families_and_relations():
                 worst = max(worst, np.abs(total - np.eye(d)).max())
         crit.check(f"projection family d={d}", worst <= 1e-10, f"worst {worst:.3e}")
     for d in (2, 3, 5, 7):
-        report = spin_relations_check(d)
-        crit.check(
-            f"spin relations d={d}",
-            report.max_deviation <= 1e-10,
-            f"max deviation {report.max_deviation:.3e}",
-        )
+        worst = max(spin_relations(d).values())
+        crit.check(f"spin relations d={d}", worst <= 1e-10, f"max deviation {worst:.3e}")
     crit.conclude()
 
 
@@ -203,9 +199,9 @@ def test_criterion_05_noise_thresholds():
             p = two_qubit_noise_threshold(a, b, delta) + 0.02
             for seed in range(50):
                 sigma = noise_ball((2, 2), delta, seed)
-                rho = noisy_mixture(p, target, sigma)
+                rho = p * target.mat + (1 - p) * sigma.mat
                 total += 1
-                detected += detects(w, rho)
+                detected += evaluate(w, rho) < -DETECTION_TOL
     crit.check(
         "detection guarantee", detected == total, f"{detected}/{total} detected"
     )

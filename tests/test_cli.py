@@ -7,10 +7,13 @@ import pytest
 
 from witgeo import cli
 from witgeo import io as wio
+from witgeo import upb as upb_module
 from witgeo.cli import main
 from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
+
+from upb_document import pairs, upb_doc
 
 
 def run(capsys, *argv):
@@ -63,13 +66,20 @@ class TestWitnessCommand:
         assert 0 < doc["outputs"]["s0"]["value"] < 1
 
     def test_malformed_upb_file_is_bad_input(self, capsys, tmp_path):
-        doc = wio.upb_doc(upb_tiles())
+        doc = upb_doc(upb_tiles())
         doc["vectors"][0][0][0] = ["1", 0.0]
         path = tmp_path / "upb.json"
         path.write_text(json.dumps(doc))
         code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_far_face_form_mismatch_is_internal(self, capsys, monkeypatch, tmp_path):
+        # a c0 off by 1e-6 puts the closed form 1e-6 away from tau0 + c0 I - rho0
+        monkeypatch.setattr(upb_module, "hs_inner", lambda a, b: complex(np.vdot(a, b)) + 1e-6)
+        code = main(["witness", "upb", "tiles", "--seed", "1", "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL
+        assert "violates its defining form" in capsys.readouterr().err
 
     def test_ghz(self, capsys, tmp_path):
         code, doc = run_json(capsys, "witness", "ghz", "3", "--out", str(tmp_path))
@@ -85,6 +95,23 @@ class TestWitnessCommand:
     def test_separable_target(self, capsys, tmp_path):
         code, _ = run(capsys, "witness", "threeq", "0", "0", "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "target,form", [(("qudit", "67"), "67^2"), (("ghz", "13"), "2^13"), (("upb",), "67x67")]
+    )
+    def test_target_too_large_is_bad_input(self, capsys, tmp_path, target, form):
+        # N above 2^12 is rejected before any matrix is built
+        if target == ("upb",):
+            path = tmp_path / "upb67.json"
+            e0 = np.eye(67)[0]
+            path.write_text(json.dumps({"shape": [67, 67], "vectors": [[pairs(e0), pairs(e0)]]}))
+            target = ("upb", str(path), "--seed", "1")
+        code = main(["witness", *target, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"N = {form} > 4096" in err
+        assert list(tmp_path.glob("*witness*")) == []
 
 
 class TestDecomposeCommand:
@@ -158,6 +185,23 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert doc["failed"] == []
+
+    def test_upb_positivity_not_checked_on_the_eps_stream(self, capsys, tmp_path):
+        # one restart on seed 2 sets eps = 0.06699, far above the true 0.028416;
+        # a see-saw on the stream that set eps would find its own minimum again
+        # and pass a witness that is negative on a product state
+        code, doc = run_json(
+            capsys,
+            "verify", "upb", "tiles",
+            "--seed", "2", "--restarts", "1", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert doc["failed"] == ["positive_on_products"]
+        assert doc["checks"]["positive_on_products"]["value"] < -1e-4
+
+    def test_negative_seed_is_bad_input(self, capsys, tmp_path):
+        code, _ = run(capsys, "verify", "bell2", "--seed", "-1", "--out", str(tmp_path))
+        assert code == 2
 
     def test_identity_fault_fails(self, capsys, monkeypatch):
         # an entrywise 5e-11 offset passes the witness's own 1e-10 form check and

@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from witgeo import io as wio
+from witgeo.linalg import DensityState
 from witgeo.measurements import qudit_decomposition, two_qubit_decomposition
 from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
 from witgeo.witness import nearest_witness, segment_witness
+
+from upb_document import upb_doc
+
+
+def read_matrix(path):
+    """Matrix and dims of a plain matrix document (the program stores states so)."""
+    return wio.matrix_from_doc(json.loads(path.read_text()))
 
 
 def test_matrix_round_trip_exact(tmp_path):
@@ -18,7 +26,7 @@ def test_matrix_round_trip_exact(tmp_path):
     mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     path = tmp_path / "m.json"
     wio.save_matrix(path, mat, (2, 3))
-    back, dims = wio.load_matrix(path)
+    back, dims = read_matrix(path)
     assert dims == (2, 3)
     assert np.array_equal(back, mat)  # repr round-trips doubles exactly
 
@@ -32,7 +40,7 @@ def test_save_matrix_bytes_match_per_entry_encoding(tmp_path):
     wio.save_matrix(path, mat, (2, 2))
     entries = [[float(z.real), float(z.imag)] for z in mat.ravel()]
     assert path.read_text() == json.dumps({"dims": [2, 2], "entries": entries})
-    back, _ = wio.load_matrix(path)
+    back, _ = read_matrix(path)
     assert back.tobytes() == mat.tobytes()
 
 
@@ -52,11 +60,12 @@ MALFORMED_ENTRIES = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
 def test_malformed_entries_rejected_naming_file(tmp_path, case):
+    # a witness document whose only fault is in its matrix entries
     dims, entries = MALFORMED_ENTRIES[case]
     path = tmp_path / f"{case}.json"
-    path.write_text(json.dumps({"dims": dims, "entries": entries}))
+    path.write_text(json.dumps({"dims": dims, "entries": entries, "c0": 0.0, "s0": None}))
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        wio.load_matrix(path)
+        wio.load_witness_matrix(path)
 
 
 # json reads NaN, Infinity and out-of-range literals such as 1e400 as floats
@@ -70,12 +79,12 @@ def write_with(path, doc: dict, token: str) -> None:
 
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_matrix_rejects_non_finite_entry(tmp_path, token):
-    doc = wio.matrix_doc(np.eye(4), (2, 2))
+    doc = wio.witness_doc(segment_witness(max_entangled(2), closest_separable(2), 1 / 3))
     doc["entries"][5][1] = "MARK"
-    path = tmp_path / "m.json"
+    path = tmp_path / "w.json"
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        wio.load_matrix(path)
+        wio.load_witness_matrix(path)
 
 
 @pytest.mark.parametrize("key", ["c0", "s0"])
@@ -114,7 +123,7 @@ def test_decomposition_rejects_non_finite_number(tmp_path, where, token):
 
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_upb_rejects_non_finite_entry(tmp_path, token):
-    doc = wio.upb_doc(tiles())
+    doc = upb_doc(tiles())
     doc["vectors"][3][1][2][0] = "MARK"
     path = tmp_path / "upb.json"
     write_with(path, doc, token)
@@ -147,7 +156,7 @@ def test_state_round_trip(tmp_path):
     st = closest_separable(3)
     path = tmp_path / "state.json"
     wio.save_state(path, st)
-    back = wio.load_state(path)
+    back = DensityState.from_matrix(*read_matrix(path))
     assert back.dims == (3, 3)
     assert np.array_equal(back.mat, st.mat)
 
@@ -156,8 +165,8 @@ def test_state_loading_validates(tmp_path):
     doc = wio.matrix_doc(np.eye(4), (2, 2))  # trace 4, not a state
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        wio.load_state(path)
+    with pytest.raises(ValueError, match="trace"):
+        DensityState.from_matrix(*read_matrix(path))
 
 
 def test_witness_round_trip(tmp_path):
@@ -196,7 +205,7 @@ def test_decomposition_round_trip(tmp_path, builder):
 def test_upb_round_trip(tmp_path):
     upb = tiles()
     path = tmp_path / "upb.json"
-    wio.save_upb(path, upb)
+    path.write_text(json.dumps(upb_doc(upb)))
     back = wio.load_upb(path)
     assert back.m == 5
     assert back.shape.dims == (3, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from witgeo.linalg import tensor
+from witgeo.linalg import DensityState, tensor
 from witgeo.measurements import (
     _PAULI_BASES,
     MeasurementSetting,
@@ -19,7 +19,7 @@ from witgeo.measurements import (
     three_qubit_witness,
     two_qubit_decomposition,
 )
-from witgeo.spin import projection_family, spin_matrix
+from witgeo.spin import projection_family
 from witgeo.states import (
     PAULI_X,
     PAULI_Y,
@@ -33,6 +33,8 @@ from witgeo.states import (
 )
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 from witgeo.witness import evaluate
+
+from spin_reference import spin_matrix
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3
@@ -48,7 +50,8 @@ def setting_residuals(setting):
     orth = 0.0
     for party in range(len(setting.party_bases)):
         d = setting.dims[party]
-        projs = [setting.projector(party, r) for r in range(d)]
+        u = setting.party_bases[party]
+        projs = [np.outer(u[:, r], u[:, r].conj()) for r in range(d)]
         comp = max(comp, np.abs(sum(projs) - np.eye(d)).max())
         for r in range(d):
             for s in range(d):
@@ -87,7 +90,10 @@ class TestTwoQubit:
         dec = two_qubit_decomposition()
         rho = max_entangled(2)
         # 2/3 - 2 * Tr(tau0 rho0) with the overlap equal to 1/2
-        assert dec.expectation(rho) == pytest.approx(-1 / 3, abs=1e-12)
+        value = dec.identity_coeff + sum(
+            sw * np.sum(s.weights * s.joint_probabilities(rho)) for sw, s in dec.settings
+        )
+        assert value == pytest.approx(-1 / 3, abs=1e-12)
 
     def test_correlation_pattern(self):
         dec = two_qubit_decomposition()
@@ -165,7 +171,8 @@ class TestQudit:
         for (u, v), (_, setting) in zip(pairs, dec.settings):
             for party, idx in ((0, u), (1, v)):
                 fam = projection_family(d, *idx)
-                rebuilt = [setting.projector(party, r) for r in range(d)]
+                u = setting.party_bases[party]
+                rebuilt = [np.outer(u[:, r], u[:, r].conj()) for r in range(d)]
                 for p, q in zip(fam, rebuilt):
                     assert np.abs(p - q).max() <= 1e-10
 
@@ -269,10 +276,9 @@ class TestShotEstimate:
         assert abs(est.estimate - 1 / 6) <= 5 * est.stderr
 
     def test_bit_exact_reproducibility(self):
-        from witgeo.states import noisy_mixture
-
         dec = qudit_decomposition(3)
-        rho = noisy_mixture(0.6, max_entangled(3), completely_random((3, 3)))
+        mix = 0.6 * max_entangled(3).mat + 0.4 * completely_random((3, 3)).mat
+        rho = DensityState.from_matrix(mix, (3, 3))
         a = shot_estimate(dec, rho, 5000, seed=17)
         b = shot_estimate(dec, rho, 5000, seed=17)
         assert a == b

@@ -46,3 +46,38 @@ def test_package_never_loads_scipy():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]", f"scipy modules loaded: {out.stdout.strip()}"
+
+
+# Public names that nothing calls yet: the segment route to W0 through tau~0,
+# which ROADMAP item 5 wires into the witness report.
+AWAITING_CALLERS = {"segment_witness", "ghz_segment_state"}
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class of the package must be referenced (as a name,
+    # an attribute or an import) by another package module or by the benchmark;
+    # names that only the tests call belong in tests/
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    defined = {
+        node.name: path.stem
+        for path in modules
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    referenced = set()
+    for path in [*modules, *sorted(perfbench.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert defined
+    unused = sorted(
+        f"{module}.{name}"
+        for name, module in defined.items()
+        if name not in referenced and name not in AWAITING_CALLERS
+    )
+    assert not unused, f"public names without a caller outside the tests: {unused}"

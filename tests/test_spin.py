@@ -1,21 +1,17 @@
-"""Spin operator family: definitions, algebraic relations, projection families."""
+"""Spin operator family: definitions, algebraic relations, projection families.
+
+The operators themselves and their algebra live in ``spin_reference``;
+the library keeps only the projection families built from them.
+"""
 
 import numpy as np
 import pytest
 
 from witgeo.linalg import hs_inner
-from witgeo.spin import (
-    eta_power,
-    is_prime,
-    projection_family,
-    spin_expand,
-    spin_matrix,
-    spin_projection,
-    spin_reconstruct,
-    spin_relations_check,
-)
+from witgeo.spin import eta_power, is_prime, projection_family
 
 from hermitian import hermitian_eigen
+from spin_reference import spin_expand, spin_matrix, spin_reconstruct, spin_relations
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -106,19 +102,19 @@ class TestSpinExpand:
 class TestProjectionFamily:
     def test_qubit_x_projection(self):
         # two-term sum with eta = -1
-        assert np.abs(spin_projection(2, 0, 1, 0) - (np.eye(2) + SX) / 2).max() <= 1e-15
+        assert np.abs(projection_family(2, 0, 1)[0] - (np.eye(2) + SX) / 2).max() <= 1e-15
 
     def test_identity_index_rejected(self):
-        with pytest.raises(ValueError):
-            spin_projection(3, 0, 0, 0)
+        with pytest.raises(ValueError, match="identity index"):
+            projection_family(3, 0, 0)
 
     def test_odd_odd_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            spin_projection(2, 1, 1, 0)
+        with pytest.raises(ValueError, match="unsupported index"):
+            projection_family(2, 1, 1)
 
     def test_composite_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            spin_projection(9, 0, 3, 1)
+        with pytest.raises(ValueError, match="prime dimension"):
+            projection_family(9, 0, 3)
 
     @pytest.mark.parametrize("d", (3, 5, 7))
     def test_complete_orthogonal_family(self, d):
@@ -145,7 +141,6 @@ class TestProjectionFamily:
             want = np.stack([scalar_projection(d, *idx, r) for r in range(d)])
             assert fam.shape == (d, d, d)
             assert fam.tobytes() == want.tobytes()
-            assert spin_projection(d, *idx, d + 1).tobytes() == want[1].tobytes()
 
     def test_family_rejects_like_projection(self):
         for args in ((3, 0, 0), (2, 1, 1), (9, 0, 3)):
@@ -153,31 +148,27 @@ class TestProjectionFamily:
                 projection_family(*args)
 
     def test_rank_one_spectrum(self):
-        w, _ = hermitian_eigen(spin_projection(3, 1, 1, 2))
+        w, _ = hermitian_eigen(projection_family(3, 1, 1)[2])
         assert np.allclose(w, [0, 0, 1], atol=1e-10)
 
     @pytest.mark.parametrize("d", (3, 5))
     def test_commutes_with_generator(self, d):
         for (j, k) in ((1, 1), (2, 1), (1, 0)):
             s = spin_matrix(d, j, k)
-            for r in range(d):
-                p = spin_projection(d, j, k, r)
+            for p in projection_family(d, j, k):
                 assert np.abs(s @ p - p @ s).max() <= 1e-10
 
 
 class TestRelations:
     def test_small_dimensions_tight(self):
-        assert spin_relations_check(2).max_deviation <= 1e-12
-        assert spin_relations_check(3).max_deviation <= 1e-12
+        assert max(spin_relations(2).values()) <= 1e-12
+        assert max(spin_relations(3).values()) <= 1e-12
 
     @pytest.mark.parametrize("d", (5, 7))
     def test_larger_dimensions(self, d):
-        report = spin_relations_check(d)
-        assert report.passed
-        assert report.power <= 1e-10
-        assert report.adjoint <= 1e-10
-        assert report.commutation <= 1e-10
-        assert report.factorization <= 1e-10
+        report = spin_relations(d)
+        assert set(report) == {"commutation", "factorization", "power", "adjoint"}
+        assert max(report.values()) <= 1e-10
 
 
 def test_is_prime():

@@ -8,21 +8,20 @@ from witgeo.states import (
     PAULI_X,
     closest_separable,
     completely_random,
-    four_vector,
     ghz,
     ghz_corner_mix,
     ghz_dephased,
     ghz_segment_state,
     ghz_segment_weight,
     max_entangled,
-    noise_ball,
-    noisy_mixture,
     pauli_parity_state,
     schmidt_state,
     three_qubit_family,
     three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
+
+from paper_states import noise_ball
 
 
 class TestMaxEntangled:
@@ -67,28 +66,6 @@ class TestSchmidtState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             schmidt_state([0.5, 0.5])
-
-
-class TestNoisyMixture:
-    def test_endpoints(self):
-        rho = max_entangled(2)
-        d0 = completely_random((2, 2))
-        assert np.abs(noisy_mixture(1.0, rho, d0).mat - rho.mat).max() == 0.0
-        assert np.abs(noisy_mixture(0.0, rho, d0).mat - d0.mat).max() == 0.0
-
-    def test_half_mix_entries(self):
-        mix = noisy_mixture(0.5, max_entangled(2), completely_random((2, 2))).mat
-        assert np.allclose(np.diag(mix).real, [3 / 8, 1 / 8, 1 / 8, 3 / 8], atol=1e-15)
-        assert mix[0, 3] == pytest.approx(0.25)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            noisy_mixture(0.5, max_entangled(2), completely_random((3, 3)))
-
-    def test_p_out_of_range(self):
-        rho = max_entangled(2)
-        with pytest.raises(ValueError):
-            noisy_mixture(1.5, rho, rho)
 
 
 class TestNoiseBall:
@@ -202,7 +179,9 @@ class TestPauliParityState:
 class TestThreeQubitFamily:
     def test_four_vector_entries(self):
         st = three_qubit_family(1 / 8, -1 / 8)
-        assert four_vector(st.mat) == pytest.approx((-1 / 8, 1 / 8, 1 / 8, 1 / 8))
+        # anti-diagonal read center-outward: entries (3, 4), (2, 5), (1, 6), (0, 7)
+        anti = [st.mat[3 - i, 4 + i].real for i in range(4)]
+        assert anti == pytest.approx((-1 / 8, 1 / 8, 1 / 8, 1 / 8))
         assert np.allclose(np.diag(st.mat).real, 1 / 8)
 
     def test_zero_parameters_match_parity_mixture(self):
@@ -240,7 +219,8 @@ class TestThreeQubitSeparableCandidates:
         cands = three_qubit_separable_candidates(0.0, t)
         gap = rho.mat - cands.nearest.mat
         assert np.allclose(np.diag(gap), 0.0, atol=1e-15)
-        assert four_vector(gap) == pytest.approx((-t / 2, t / 2, t / 2, t / 2))
+        anti = [gap[3 - i, 4 + i].real for i in range(4)]
+        assert anti == pytest.approx((-t / 2, t / 2, t / 2, t / 2))
 
     def test_segment_matches_parity_expansion(self):
         # independent route: normalized mixture of the four parity states

@@ -10,11 +10,12 @@ from witgeo.upb import (
     bound_entangled,
     estimate_epsilon,
     far_face_witness,
-    reweighted_bound_entangled,
     tiles,
     uniform_mixture,
 )
 from witgeo.witness import evaluate
+
+from paper_states import reweighted_bound_entangled
 
 
 @pytest.fixture(scope="module")

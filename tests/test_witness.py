@@ -9,15 +9,13 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     max_entangled,
-    noise_ball,
-    noisy_mixture,
     schmidt_state,
     three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
 from witgeo.witness import (
+    DETECTION_TOL,
     Witness,
-    detects,
     evaluate,
     frustum_predicate,
     identity_deviation,
@@ -27,6 +25,7 @@ from witgeo.witness import (
     two_qubit_noise_threshold,
 )
 
+from paper_states import noise_ball
 from random_states import random_density, sampled_identity_deviation
 
 # the two-qubit witness matrix: entries 0 and +-1/3
@@ -123,8 +122,8 @@ class TestEvaluate:
 
     def test_detects(self):
         w = bell_witness()
-        assert detects(w, w.rho0)
-        assert not detects(w, completely_random((2, 2)))
+        assert evaluate(w, w.rho0) < -DETECTION_TOL
+        assert not evaluate(w, completely_random((2, 2))) < -DETECTION_TOL
 
 
 WITNESSES = {
@@ -186,8 +185,8 @@ class TestTwoQubitNoiseThreshold:
                         if delta == 0.0
                         else noise_ball((2, 2), delta, seed)
                     )
-                    rho = noisy_mixture(p, target, sigma)
-                    assert detects(w, rho)
+                    rho = p * target.mat + (1 - p) * sigma.mat
+                    assert evaluate(w, rho) < -DETECTION_TOL
 
 
 class TestQuditDetectionPredicate:
@@ -244,13 +243,14 @@ class TestFrustumPredicate:
 
 class TestWitnessInvariants:
     def test_dataclass_rejects_inconsistent_c0(self):
-        from witgeo.witness import Witness
-
+        # both are faults of the program (exit 3), not of its input
         rho = max_entangled(2)
         tau = closest_separable(2)
         w = tau.mat + (1 / 6) * np.eye(4) - rho.mat
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError, match="defining form"):
             Witness(matrix=w, c0=0.3, rho0=rho, tau0=tau)
+        with pytest.raises(AssertionError, match="inconsistent with states"):
+            Witness(matrix=w + (0.3 - 1 / 6) * np.eye(4), c0=0.3, rho0=rho, tau0=tau)
 
     def test_three_qubit_detection_is_mean_independent(self):
         t = 0.08
