@@ -32,16 +32,24 @@ def _entries(mat: np.ndarray) -> list[list[float]]:
     return np.asarray(mat, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
 
 
+def _typed(values: list, types: set, what: str) -> list:
+    """The list, if its entries have only the given exact types."""
+    others = set(map(type, values)) - types  # int() and float() parse strings; bool is no int
+    if others:
+        raise ValueError(f"expected {what}, found {sorted(t.__name__ for t in others)}")
+    return values
+
+
 def _floats(values: list) -> np.ndarray:
     """Float array from a flat list that holds only finite JSON numbers."""
-    # exact types: float() would parse strings, and a bool is not a number here
-    others = set(map(type, values)) - {int, float}
-    if others:
-        raise ValueError(f"expected JSON numbers, found {sorted(t.__name__ for t in others)}")
-    out = np.array(values, dtype=float)
+    out = np.array(_typed(values, {int, float}, "JSON numbers"), dtype=float)
     if not np.isfinite(out).all():  # json reads NaN, Infinity and 1e400 as floats
         raise ValueError("expected finite numbers, found NaN or infinity")
     return out
+
+
+def _dims(values: list) -> tuple[int, ...]:
+    return tuple(_typed(values, {int}, "JSON integers as dimensions"))
 
 
 def _number(value) -> float:
@@ -80,7 +88,7 @@ def matrix_doc(mat: np.ndarray, dims) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> tuple[np.ndarray, tuple[int, ...]]:
-    dims = tuple(int(d) for d in doc["dims"])
+    dims = _dims(doc["dims"])
     n = int(np.prod(dims))
     flat = _complex(doc["entries"])
     if len(flat) != n * n:
@@ -142,13 +150,14 @@ def load_decomposition(path) -> WitnessDecomposition:
     with _document(path) as doc:
         for s in doc["settings"]:
             bases = tuple(matrix_from_doc(b)[0] for b in s["party_bases"])
-            w = _floats(s["outcome_weights"]["values"]).reshape(s["outcome_weights"]["shape"])
+            table = s["outcome_weights"]
+            w = _floats(table["values"]).reshape(_dims(table["shape"]))
             settings.append((_number(s["weight"]), MeasurementSetting(bases, w)))
         return WitnessDecomposition(_number(doc["identity_coeff"]), tuple(settings))
 
 
 def load_upb(path) -> UpbSet:
     with _document(path) as doc:
-        shape = SystemShape(tuple(int(d) for d in doc["shape"]))
+        shape = SystemShape(_dims(doc["shape"]))
         vectors = tuple(tuple(_complex(factor) for factor in vec) for vec in doc["vectors"])
         return UpbSet(shape, vectors)

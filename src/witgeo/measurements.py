@@ -412,8 +412,7 @@ def shot_estimate(
 
 def standard_witness(d: int) -> Witness:
     """Witness for the d x d maximally entangled state via its closed-form tau0."""
-    rho0 = max_entangled(d)
-    return nearest_witness(rho0, closest_separable(d, rho0))
+    return nearest_witness(max_entangled(d), closest_separable(d))
 
 
 def three_qubit_witness(m: float, t: float) -> Witness:

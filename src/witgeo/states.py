@@ -8,10 +8,10 @@ Multipartite side: the n-qubit GHZ family with its dephased and
 corner-correlated separable companions, and the two-parameter
 three-qubit bound entangled family with its separable candidates.
 
-Every constructor returns a validated DensityState.  Constructors with a
-second, independent formula for the same matrix (the three-qubit family,
-the GHZ segment state) evaluate both routes and refuse to return on
-disagreement.
+Every constructor returns a DensityState, a convex combination of positive
+semidefinite matrices by its form.  Constructors with a second, independent
+formula for the same matrix (the three-qubit family, the GHZ segment state)
+evaluate both routes and refuse to return on disagreement.
 """
 
 from __future__ import annotations
@@ -53,16 +53,14 @@ def max_entangled(d: int) -> DensityState:
     return schmidt_state(np.full(d, 1.0 / np.sqrt(d)))
 
 
-def closest_separable(d: int, rho0: DensityState | None = None) -> DensityState:
+def closest_separable(d: int) -> DensityState:
     """Closest separable state to the maximally entangled state rho0.
 
     The closed form is the convex combination d/(d+1) * I/N + 1/(d+1) * rho0,
     which also lies on the segment from I/N to rho0 (so the nearest
     separable state and the last separable segment point coincide here).
-    A caller that already holds max_entangled(d) passes it as ``rho0``.
     """
-    if rho0 is None:
-        rho0 = max_entangled(d)
+    rho0 = max_entangled(d)
     mat = d / (d + 1) * (np.eye(d * d, dtype=complex) / (d * d)) + 1 / (d + 1) * rho0.mat
     return DensityState(mat, rho0.shape)
 

@@ -14,6 +14,7 @@ import pytest
 
 from witgeo.linalg import (
     DensityState,
+    SystemShape,
     hs_distance,
     hs_inner,
     partial_transpose,
@@ -102,7 +103,7 @@ def test_criterion_02_two_qubit_decomposition():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
+        rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
         lhs = evaluate(w, rho)
         rhs = 2 / 3 - 2 * hs_inner(tau0.mat, rho.mat).real
         worst = max(worst, abs(lhs - rhs))
@@ -443,7 +444,7 @@ def test_criterion_10_global_identity():
         diff = w.rho0.mat - w.tau0.mat
         worst = 0.0
         for _ in range(100):
-            rho = DensityState.from_matrix(random_density(w.n, rng), w.dims)
+            rho = DensityState(random_density(w.n, rng), w.rho0.shape)
             total = evaluate(w, rho) + hs_inner(diff, rho.mat - w.tau0.mat).real
             worst = max(worst, abs(total))
         crit.check(name, worst <= 1e-10, f"worst {worst:.3e}")

@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witgeo import cli
 from witgeo import io as wio
@@ -381,6 +387,27 @@ def test_settings_built_only_when_used(capsys, monkeypatch, tmp_path, argv, buil
     assert len(calls) == builds, calls
 
 
+@pytest.mark.parametrize(
+    "argv,spectra",
+    [
+        (["witness", "ghz", "6"], 0),
+        (["decompose", "ghz", "6"], 0),
+        (["estimate", "ghz", "6", "--state", "d0", "--seed", "1", "--shots", "10"], 0),
+        (["witness", "qudit", "5"], 0),
+        # the complement of the UPB file's projectors, in upb.bound_entangled
+        (["witness", "upb", "tiles", "--seed", "1", "--restarts", "4"], 1),
+    ],
+)
+def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra):
+    # states built from closed forms are positive semidefinite by form
+    # (tests/test_positivity.py); only a state built from input takes a spectrum
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == spectra, calls
+
+
 def test_stored_decomposition_skips_build(capsys, monkeypatch, tmp_path):
     run_json(capsys, "decompose", "qudit", "5", "--out", str(tmp_path))
     argv = ["estimate", "qudit", "5", "--seed", "2", "--shots", "100"]
@@ -392,6 +419,37 @@ def test_stored_decomposition_skips_build(capsys, monkeypatch, tmp_path):
     assert code == 0
     del built["wall_time_s"], stored["wall_time_s"]
     assert stored == built
+
+
+# The edges of the three-qubit region |m| + t <= 1/8, t > 0, its range tolerance,
+# and the values that are no point at all
+THREEQ_EDGES = [0.0, 1e-300, 1e-12, 0.0625, 0.125, 0.125 + 1e-12, 0.125 + 1e-9, 0.25, np.inf]
+THREEQ_FLOATS = st.one_of(
+    st.sampled_from([np.nan, *THREEQ_EDGES, *(-x for x in THREEQ_EDGES)]),
+    st.floats(min_value=-0.25, max_value=0.25),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+    st.floats(),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(m=THREEQ_FLOATS, t=THREEQ_FLOATS)
+def test_threeq_parameters_give_states_or_bad_input(m, t):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["witness", "threeq", repr(m), repr(t), "--out", tmp])
+            except SystemExit as exc:  # argparse reads text such as -inf or -1e-05 as an option
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            name = json.loads(out.getvalue())["target"]
+            for state in ("tau0", "rho0"):
+                doc = json.loads(Path(tmp, f"{name}_{state}.json").read_text())
+                mat, _ = wio.matrix_from_doc(doc)
+                assert np.linalg.eigvalsh(mat).min() >= -1e-9, (state, m, t)
 
 
 class TestThresholdCommand:

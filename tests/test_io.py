@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from witgeo import io as wio
-from witgeo.linalg import DensityState
+from witgeo.linalg import DensityState, SystemShape
 from witgeo.measurements import qudit_decomposition, two_qubit_decomposition
 from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
@@ -156,7 +156,8 @@ def test_state_round_trip(tmp_path):
     st = closest_separable(3)
     path = tmp_path / "state.json"
     wio.save_state(path, st)
-    back = DensityState.from_matrix(*read_matrix(path))
+    mat, dims = read_matrix(path)
+    back = DensityState(mat, SystemShape(dims))
     assert back.dims == (3, 3)
     assert np.array_equal(back.mat, st.mat)
 
@@ -165,8 +166,9 @@ def test_state_loading_validates(tmp_path):
     doc = wio.matrix_doc(np.eye(4), (2, 2))  # trace 4, not a state
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    mat, dims = read_matrix(path)
     with pytest.raises(ValueError, match="trace"):
-        DensityState.from_matrix(*read_matrix(path))
+        DensityState(mat, SystemShape(dims))
 
 
 def test_witness_round_trip(tmp_path):

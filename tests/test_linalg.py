@@ -153,27 +153,23 @@ class TestHermitianEigen:
 
 class TestDensityState:
     def test_valid(self):
-        st = DensityState.from_matrix(BELL, (2, 2))
+        st = DensityState(BELL, SystemShape((2, 2)))
         assert st.n == 4
         assert st.dims == (2, 2)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
-            DensityState.from_matrix(np.eye(4), (2, 2))
+            DensityState(np.eye(4), SystemShape((2, 2)))
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
         with pytest.raises(ValueError):
-            DensityState.from_matrix(m, (2, 2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DensityState.from_matrix(np.diag([1.5, -0.5, 0, 0]), (2, 2))
+            DensityState(m, SystemShape((2, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            DensityState.from_matrix(BELL, (2, 3))
+            DensityState(BELL, SystemShape((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("entries", [[(2, 2)], [(0, 1), (1, 0)]])
@@ -182,10 +178,10 @@ class TestDensityState:
         for entry in entries:
             m[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            DensityState.from_matrix(m, (2, 2))
+            DensityState(m, SystemShape((2, 2)))
 
     def test_matrix_is_readonly(self):
-        st = DensityState.from_matrix(BELL, (2, 2))
+        st = DensityState(BELL, SystemShape((2, 2)))
         with pytest.raises(ValueError):
             st.mat[0, 0] = 17.0
 
@@ -213,5 +209,6 @@ class TestProductProjection:
 
 def test_random_density_is_valid():
     rng = np.random.default_rng(5)
-    st = DensityState.from_matrix(random_density(6, rng), (2, 3))
+    st = DensityState(random_density(6, rng), SystemShape((2, 3)))
     assert abs(np.trace(st.mat) - 1) <= 1e-12
+    assert np.linalg.eigvalsh(st.mat).min() > 0  # the constructor takes no spectrum

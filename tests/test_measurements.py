@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from witgeo.linalg import DensityState, tensor
+from witgeo.linalg import DensityState, SystemShape, tensor
 from witgeo.measurements import (
     _PAULI_BASES,
     MeasurementSetting,
@@ -278,7 +278,7 @@ class TestShotEstimate:
     def test_bit_exact_reproducibility(self):
         dec = qudit_decomposition(3)
         mix = 0.6 * max_entangled(3).mat + 0.4 * completely_random((3, 3)).mat
-        rho = DensityState.from_matrix(mix, (3, 3))
+        rho = DensityState(mix, SystemShape((3, 3)))
         a = shot_estimate(dec, rho, 5000, seed=17)
         b = shot_estimate(dec, rho, 5000, seed=17)
         assert a == b

@@ -11,6 +11,10 @@ The mutation family starts from the decomposition document that
 ``estimate bell2 --decomposition FILE`` must then exit 0 or 2, never 3.
 On exit 0 stdout must be strict JSON (no NaN or Infinity); on exit 2
 stdout is empty and stderr names the file.
+
+A dimension that is not a JSON integer is bad input even where the
+rest of the document would still read: ``int()`` would parse ``"2"``
+and truncate ``2.5``.
 """
 
 import contextlib
@@ -24,6 +28,9 @@ from hypothesis import strategies as st
 from witgeo import io as wio
 from witgeo.cli import main
 from witgeo.measurements import two_qubit_decomposition
+from witgeo.upb import tiles
+
+from upb_document import upb_doc
 
 TOKENS = ["NaN", "Infinity", "1e400", '"0.5"', "null", "[]"]
 
@@ -63,6 +70,13 @@ def mutated_text(kind, path, token) -> str:
     return json.dumps(doc)
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -81,13 +95,35 @@ def test_stored_document_is_the_mutated_one(capsys, tmp_path):
 @given(mutation=MUTATIONS)
 def test_damaged_decomposition_is_bad_input_or_valid(decomposition_file, mutation):
     decomposition_file.write_text(mutated_text(*mutation))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        argv = ["estimate", "bell2", "--decomposition", str(decomposition_file)]
-        code = main([*argv, "--seed", "1", "--shots", "100"])
-    assert code in (0, 2), err.getvalue()
+    argv = ["estimate", "bell2", "--decomposition", str(decomposition_file)]
+    code, out, err = _run([*argv, "--seed", "1", "--shots", "100"])
+    assert code in (0, 2), err
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        json.loads(out, parse_constant=_reject_constant)
     else:
-        assert out.getvalue() == ""
-        assert str(decomposition_file) in err.getvalue()
+        assert out == ""
+        assert str(decomposition_file) in err
+
+
+DIMENSIONS = [p for p in NUMBERS if len(p) > 1 and p[-2] in ("dims", "shape")]
+
+
+@pytest.mark.parametrize("token", ['"2"', "2.0", "2.5", "true"])
+def test_dimension_that_is_not_an_integer_is_bad_input(tmp_path, token):
+    # 3 settings, each with two one-entry basis dims and a two-entry weight shape
+    assert len(DIMENSIONS) == 3 * (2 + 2)
+    path = tmp_path / "decomposition.json"
+    for dim in DIMENSIONS:
+        path.write_text(mutated_text("replace", dim, token))
+        argv = ["estimate", "bell2", "--decomposition", str(path), "--seed", "1"]
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), dim
+        assert str(path) in err
+
+    upb_path = tmp_path / "upb.json"
+    doc = upb_doc(tiles())
+    doc["shape"][0] = "MARK"
+    upb_path.write_text(json.dumps(doc).replace('"MARK"', token.replace("2", "3")))
+    code, out, err = _run(["witness", "upb", str(upb_path), "--seed", "1", "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert str(upb_path) in err

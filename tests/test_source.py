@@ -53,18 +53,27 @@ def test_package_never_loads_scipy():
 AWAITING_CALLERS = {"segment_witness", "ghz_segment_state"}
 
 
+def _public(nodes):
+    return [
+        node
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
 def test_every_public_name_has_a_caller():
-    # a public function or class of the package must be referenced (as a name,
-    # an attribute or an import) by another package module or by the benchmark;
-    # names that only the tests call belong in tests/
+    # a public function, class, method or property of the package must be
+    # referenced (as a name, an attribute or an import) by another package
+    # module or by the benchmark; names that only the tests call belong in tests/
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    defined = {
-        node.name: path.stem
-        for path in modules
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    defined = {}
+    for path in modules:
+        for node in _public(ast.parse(path.read_text()).body):
+            defined[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for member in _public(node.body):
+                    defined[member.name] = f"{path.stem}.{node.name}"
     referenced = set()
     for path in [*modules, *sorted(perfbench.glob("*.py"))]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

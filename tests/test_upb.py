@@ -76,6 +76,15 @@ class TestBoundEntangled:
             w = np.linalg.eigvalsh(partial_transpose(rho, cut))
             assert w.min() >= -1e-10
 
+    def test_rejects_indefinite_complement(self):
+        # |1'> = |1> + 0.99e-10 |0> passes the Gram check (deviation 9.9e-11), and
+        # the complement of the three projectors dips to about -1.4e-10
+        e0, e1 = np.eye(2)
+        tilted = e1 + 0.99e-10 * e0
+        upb = UpbSet(SystemShape((2, 2)), ((e0, e0), (e0, tilted), (tilted, e0)))
+        with pytest.raises(ValueError, match="complement state not PSD"):
+            bound_entangled(upb)
+
     def test_random_state_on_segment(self, tiles_upb):
         # (N-m)/N * rho0 + m/N * mu0 recovers the maximally mixed state
         mu = uniform_mixture(tiles_upb)

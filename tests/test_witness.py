@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import DensityState, hs_inner
+from witgeo.linalg import DensityState, SystemShape, hs_inner
 from witgeo.measurements import ghz_witness, standard_witness, three_qubit_witness
 from witgeo.states import (
     closest_separable,
@@ -83,8 +83,8 @@ class TestSegmentWitness:
     def test_random_pairs_agree(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
-            tau = DensityState.from_matrix(random_density(4, rng), (2, 2))
+            rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
+            tau = DensityState(random_density(4, rng), SystemShape((2, 2)))
             s0 = rng.uniform(0.05, 0.95)
             w1 = segment_witness(rho, tau, s0)
             w2 = nearest_witness(rho, tau)
@@ -110,7 +110,7 @@ class TestEvaluate:
         w = bell_witness()
         diff = w.rho0.mat - w.tau0.mat
         for _ in range(100):
-            rho = DensityState.from_matrix(random_density(4, rng), (2, 2))
+            rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
             lhs = evaluate(w, rho)
             rhs = -hs_inner(diff, rho.mat - w.tau0.mat).real
             assert abs(lhs - rhs) <= 1e-10
