@@ -10,6 +10,14 @@ the decomposition document lists the identity coefficient and, per
 setting, the party bases (as matrix documents) and the dense weight
 table; the UPB document stores per-party complex factor lists and is
 only read.
+
+The document builders keep each matrix as an array of [re, im] rows,
+and ``_save`` writes exactly the bytes of ``json.dumps`` of the list
+form.  The program's matrices hold a few distinct values (GHZ objects
+are X-shaped, qudit ones have a few closed-form entries), so the writer
+formats each distinct pair once and joins the text from those.  Small
+tables, and tables whose doubles are mostly distinct, take the plain
+``tolist`` route: there the table would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -27,9 +35,15 @@ from .upb import UpbSet
 from .witness import Witness
 
 
-def _entries(mat: np.ndarray) -> list[list[float]]:
+# Entry tables below this many pairs take the plain route: for them the two
+# sorts of the distinct-pair table cost about what they save.
+_TABLE_MIN = 256
+_ARRAY = "\0array"  # stands in for each array while json encodes the document
+
+
+def _entries(mat: np.ndarray) -> np.ndarray:
     # a C-contiguous complex array viewed as float is its [re, im] pairs in order
-    return np.asarray(mat, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
+    return np.asarray(mat, dtype=complex).ravel().view(float).reshape(-1, 2)
 
 
 def _typed(values: list, types: set, what: str) -> list:
@@ -49,7 +63,10 @@ def _floats(values: list) -> np.ndarray:
 
 
 def _dims(values: list) -> tuple[int, ...]:
-    return tuple(_typed(values, {int}, "JSON integers as dimensions"))
+    dims = tuple(_typed(values, {int}, "JSON integers as dimensions"))
+    if min(dims, default=1) < 1:  # reshape would read -1 as "infer this one"
+        raise ValueError(f"expected dimensions of at least 1, found {list(dims)}")
+    return dims
 
 
 def _number(value) -> float:
@@ -63,9 +80,51 @@ def _complex(entries) -> np.ndarray:
     return _floats(list(chain.from_iterable(entries))).view(complex)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.
+
+    numpy 2.4's np.unique hashes integer input, which takes 20 times as
+    long as this sort on 131072 mostly distinct values.
+    """
+    ordered = np.sort(values, axis=None)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _table_json(arr: np.ndarray) -> str | None:
+    """json.dumps(arr.tolist()) of an [re, im] table, formatting each distinct pair once.
+
+    None for other arrays, small tables and tables whose doubles are mostly
+    distinct: json's own loop over the list is cheaper for those.
+    """
+    if arr.ndim != 2 or len(arr) < _TABLE_MIN:
+        return None
+    # keyed on bit patterns, not values, so that 0.0 and -0.0 stay apart
+    bits = arr.view(np.uint64)
+    halves = _distinct(bits)
+    if 2 * len(halves) > arr.size:
+        return None
+    codes = np.searchsorted(halves, bits)
+    pairs = codes[:, 0] * len(halves) + codes[:, 1]
+    distinct = _distinct(pairs)
+    rows = halves[np.stack(np.divmod(distinct, len(halves)), axis=1)].view(float)
+    texts = np.array([json.dumps(row) for row in rows.tolist()], dtype=object)
+    return "[" + ", ".join(texts[np.searchsorted(distinct, pairs)]) + "]"
+
+
 def _save(path, doc: dict) -> None:
+    texts = []
+
+    def swap(arr: np.ndarray):  # json calls this for each array, in document order
+        text = _table_json(arr)
+        if text is None:
+            return arr.tolist()
+        texts.append(text)
+        return _ARRAY
+
     # a freshly built document holds no cycle; checking costs a dict update per pair
-    Path(path).write_text(json.dumps(doc, check_circular=False))
+    pieces = json.dumps(doc, check_circular=False, default=swap).split(json.dumps(_ARRAY))
+    with open(path, "w") as out:
+        out.writelines(chain(*zip(pieces, texts), pieces[-1:]))
 
 
 @contextmanager
@@ -134,7 +193,7 @@ def decomposition_doc(dec: WitnessDecomposition) -> dict:
                 ],
                 "outcome_weights": {
                     "shape": list(setting.weights.shape),
-                    "values": setting.weights.ravel().tolist(),
+                    "values": setting.weights.ravel(),
                 },
             }
         )

@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from witgeo import cli
 from witgeo import io as wio
 from witgeo.linalg import DensityState, SystemShape
 from witgeo.measurements import qudit_decomposition, two_qubit_decomposition
@@ -13,12 +16,23 @@ from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
 from witgeo.witness import nearest_witness, segment_witness
 
+from json_reference import reference_text
 from upb_document import upb_doc
 
 
 def read_matrix(path):
     """Matrix and dims of a plain matrix document (the program stores states so)."""
     return wio.matrix_from_doc(json.loads(path.read_text()))
+
+
+def saved_doc(path, save, obj) -> dict:
+    """The document that save writes for obj, read back as mutable JSON."""
+    save(path, obj)
+    return json.loads(path.read_text())
+
+
+def bell2_witness():
+    return segment_witness(max_entangled(2), closest_separable(2), 1 / 3)
 
 
 def test_matrix_round_trip_exact(tmp_path):
@@ -41,6 +55,92 @@ def test_save_matrix_bytes_match_per_entry_encoding(tmp_path):
     entries = [[float(z.real), float(z.imag)] for z in mat.ravel()]
     assert path.read_text() == json.dumps({"dims": [2, 2], "entries": entries})
     back, _ = read_matrix(path)
+    assert back.tobytes() == mat.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [["bell2"], ["qudit", "5"], ["ghz", "5"], ["threeq", "0", "0.125"], ["upb", "tiles"]]
+)
+def test_written_files_equal_reference_encoding(tmp_path, argv):
+    argv = [*argv, "--seed", "1", "--out", str(tmp_path)]
+    target = cli._build_target(cli.build_parser().parse_args(["witness", *argv]))
+    assert cli.main(["witness", *argv]) == 0
+    assert cli.main(["decompose", *argv]) == 0
+    w = target.witness
+    expected = {
+        "witness": wio.witness_doc(w),
+        "tau0": wio.matrix_doc(w.tau0.mat, w.tau0.dims),
+        "rho0": wio.matrix_doc(w.rho0.mat, w.rho0.dims),
+        "decomposition": wio.decomposition_doc(target.decompose()),
+    }
+    for kind, doc in expected.items():
+        assert (tmp_path / f"{target.name}_{kind}.json").read_text() == reference_text(doc), kind
+
+
+# Signed zeros, the smallest subnormal and the extremes: a table keyed on
+# values rather than bit patterns would merge 0.0 and -0.0.
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, 1e308, -1e308]
+
+
+def from_pool(pool, n: int, seed: int) -> np.ndarray:
+    """An n x n complex matrix whose real and imaginary parts are drawn from pool."""
+    rng = np.random.default_rng(seed)
+    mat = np.empty((n, n), dtype=complex)
+    mat.real, mat.imag = np.asarray(pool)[rng.integers(len(pool), size=(2, n, n))]
+    return mat
+
+
+def dense_hermitian(n: int) -> np.ndarray:
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a + a.conj().T
+
+
+# matrix and how many distinct-value sorts its route takes
+ROUTES = {
+    "small": (lambda: from_pool(EDGE_DOUBLES, 8, 0), 0),
+    "mostly_distinct": (lambda: dense_hermitian(256), 1),
+    "table": (lambda: from_pool(EDGE_DOUBLES, 32, 1), 2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_route_writes_reference_bytes(tmp_path, monkeypatch, route):
+    build, sorts = ROUTES[route]
+    mat = build()
+    calls = []
+    distinct = wio._distinct
+    monkeypatch.setattr(wio, "_distinct", lambda values: calls.append(1) or distinct(values))
+    path = tmp_path / "m.json"
+    wio.save_matrix(path, mat, (len(mat),))
+    assert len(calls) == sorts
+    assert path.read_text() == reference_text(wio.matrix_doc(mat, (len(mat),)))
+    back, _ = read_matrix(path)
+    assert back.tobytes() == mat.tobytes()
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "m.json"
+
+
+POOL = [*EDGE_DOUBLES, -5e-324, 2.225073858507201e-308, 1 / 3]
+
+
+# sizes on both sides of the table's size cut of 256 pairs (n = 16)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 4, 15, 16, 24, 40]),
+    extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_saved_matrix_matches_reference_and_round_trips(matrix_file, n, extra, seed):
+    mat = from_pool(POOL + extra, n, seed)
+    wio.save_matrix(matrix_file, mat, (n,))
+    text = matrix_file.read_text()
+    assert text == reference_text(wio.matrix_doc(mat, (n,)))
+    back, dims = wio.matrix_from_doc(json.loads(text))
+    assert dims == (n,)
     assert back.tobytes() == mat.tobytes()
 
 
@@ -79,9 +179,9 @@ def write_with(path, doc: dict, token: str) -> None:
 
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_matrix_rejects_non_finite_entry(tmp_path, token):
-    doc = wio.witness_doc(segment_witness(max_entangled(2), closest_separable(2), 1 / 3))
-    doc["entries"][5][1] = "MARK"
     path = tmp_path / "w.json"
+    doc = saved_doc(path, wio.save_witness, bell2_witness())
+    doc["entries"][5][1] = "MARK"
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_witness_matrix(path)
@@ -90,9 +190,9 @@ def test_matrix_rejects_non_finite_entry(tmp_path, token):
 @pytest.mark.parametrize("key", ["c0", "s0"])
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_witness_rejects_non_finite_metadata(tmp_path, key, token):
-    doc = wio.witness_doc(segment_witness(max_entangled(2), closest_separable(2), 1 / 3))
-    doc[key] = "MARK"
     path = tmp_path / "w.json"
+    doc = saved_doc(path, wio.save_witness, bell2_witness())
+    doc[key] = "MARK"
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_witness_matrix(path)
@@ -113,9 +213,9 @@ DECOMPOSITION_NUMBERS = {
 @pytest.mark.parametrize("where", sorted(DECOMPOSITION_NUMBERS))
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_decomposition_rejects_non_finite_number(tmp_path, where, token):
-    doc = wio.decomposition_doc(two_qubit_decomposition())
-    DECOMPOSITION_NUMBERS[where](doc)
     path = tmp_path / "dec.json"
+    doc = saved_doc(path, wio.save_decomposition, two_qubit_decomposition())
+    DECOMPOSITION_NUMBERS[where](doc)
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_decomposition(path)
@@ -133,15 +233,17 @@ def test_upb_rejects_non_finite_entry(tmp_path, token):
 
 def test_decomposition_rejects_string_weight(tmp_path):
     path = tmp_path / "dec.json"
-    doc = wio.decomposition_doc(two_qubit_decomposition())
+    doc = saved_doc(path, wio.save_decomposition, two_qubit_decomposition())
     doc["settings"][0]["outcome_weights"]["values"][0] = "0.5"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_decomposition(path)
 
 
-def test_matrix_doc_shape():
-    doc = wio.matrix_doc(np.eye(4), (2, 2))
+def test_matrix_doc_shape(tmp_path):
+    path = tmp_path / "m.json"
+    wio.save_matrix(path, np.eye(4), (2, 2))
+    doc = json.loads(path.read_text())
     assert doc["dims"] == [2, 2]
     assert len(doc["entries"]) == 16
     assert doc["entries"][0] == [1.0, 0.0]
@@ -163,9 +265,8 @@ def test_state_round_trip(tmp_path):
 
 
 def test_state_loading_validates(tmp_path):
-    doc = wio.matrix_doc(np.eye(4), (2, 2))  # trace 4, not a state
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    wio.save_matrix(path, np.eye(4), (2, 2))  # trace 4, not a state
     mat, dims = read_matrix(path)
     with pytest.raises(ValueError, match="trace"):
         DensityState(mat, SystemShape(dims))

@@ -14,12 +14,15 @@ stdout is empty and stderr names the file.
 
 A dimension that is not a JSON integer is bad input even where the
 rest of the document would still read: ``int()`` would parse ``"2"``
-and truncate ``2.5``.
+and truncate ``2.5``.  So is a dimension below 1: ``reshape`` reads
+``-1`` as "infer this one".
 """
 
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +46,15 @@ def _walk(node, path=()):
             yield from _walk(child, (*path, key))
 
 
-DOC = wio.decomposition_doc(two_qubit_decomposition())
+def _stored_document() -> dict:
+    """The decomposition document of bell2 as the program stores it, as mutable JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decomposition.json"
+        wio.save_decomposition(path, two_qubit_decomposition())
+        return json.loads(path.read_text())
+
+
+DOC = _stored_document()
 NUMBERS = [p for p, v in _walk(DOC) if type(v) in (int, float)]
 KEYS = [(*p, k) for p, v in _walk(DOC) if isinstance(v, dict) for k in v]
 LISTS = [p for p, v in _walk(DOC) if isinstance(v, list) and v]
@@ -108,7 +119,7 @@ def test_damaged_decomposition_is_bad_input_or_valid(decomposition_file, mutatio
 DIMENSIONS = [p for p in NUMBERS if len(p) > 1 and p[-2] in ("dims", "shape")]
 
 
-@pytest.mark.parametrize("token", ['"2"', "2.0", "2.5", "true"])
+@pytest.mark.parametrize("token", ['"2"', "2.0", "2.5", "true", "0", "-1"])
 def test_dimension_that_is_not_an_integer_is_bad_input(tmp_path, token):
     # 3 settings, each with two one-entry basis dims and a two-entry weight shape
     assert len(DIMENSIONS) == 3 * (2 + 2)

@@ -34,6 +34,25 @@ def test_no_einsum_calls():
     assert not found, f"einsum calls in witgeo: {found}"
 
 
+# The one writer path of io.py: every document is encoded there.
+WRITER = {"_save", "_table_json"}
+
+
+def test_io_encodes_json_only_in_its_writer():
+    # json.dumps or tolist anywhere else in io.py would be a second encoder,
+    # one that formats every float of a matrix on its own
+    io_py = Path(witgeo.__file__).parent / "io.py"
+    found = sorted(
+        f"{getattr(node, 'name', 'module level')}:{sub.lineno}"
+        for node in ast.parse(io_py.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and sub.attr in ("dumps", "tolist")
+        and getattr(node, "name", None) not in WRITER
+    )
+    assert not found, f"json.dumps or tolist outside the io writer: {found}"
+
+
 def test_package_never_loads_scipy():
     # a fresh interpreter: other test modules import scipy into this one
     src = str(Path(witgeo.__file__).parent.parent)
