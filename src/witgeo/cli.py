@@ -135,10 +135,14 @@ def _positive_int(params, idx, name) -> int:
 
 
 def _float_param(params, idx, name) -> float:
+    """A finite float from command-line text or a JSON number."""
     try:
-        return float(params[idx])
-    except (IndexError, ValueError):
+        value = float(params[idx])
+    except (IndexError, OverflowError, ValueError):  # OverflowError: a JSON integer past 1e308
         raise BadInput(f"missing or invalid parameter {name!r}") from None
+    if not math.isfinite(value):
+        raise BadInput(f"parameter {name!r} must be finite, got {value}")
+    return value
 
 
 def _scalar(value, tol=None, stderr=None) -> dict:
@@ -265,8 +269,6 @@ def cmd_verify(args) -> tuple:
 def cmd_estimate(args) -> tuple:
     if args.seed is None:
         raise BadInput("estimate requires an explicit --seed")
-    if args.shots < 1:
-        raise BadInput("--shots must be >= 1")
     target = _build_target(args)
     w = target.witness
     state = completely_random(w.dims) if args.state == "d0" else getattr(w, args.state)
@@ -291,14 +293,16 @@ def cmd_estimate(args) -> tuple:
     return body, est.estimate, EXIT_OK
 
 
-def _parse_amps(text: str):
+def _parse_amps(text: str) -> np.ndarray:
+    """Amplitudes from a file holding a flat JSON list of numbers, or a comma list."""
     path = Path(text)
     if path.exists():
-        return json.loads(path.read_text())
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise BadInput(f"cannot parse amplitudes from {text!r}") from None
+        amps = json.loads(path.read_text())
+        if not (isinstance(amps, list) and {type(x) for x in amps} <= {int, float}):
+            raise BadInput(f"amplitudes file {text} must hold a flat list of numbers")
+    else:
+        amps = text.split(",")
+    return np.array([_float_param(amps, i, "amplitudes") for i in range(len(amps))])
 
 
 def cmd_threshold(args) -> tuple:
@@ -317,7 +321,6 @@ def cmd_threshold(args) -> tuple:
         amps = _parse_amps(args.params[1]) if len(args.params) > 1 else None
         if amps is None:
             raise BadInput("qudit threshold needs amplitudes (file or comma list)")
-        amps = np.asarray(amps, dtype=float)
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise BadInput("amplitudes cannot all be zero")
@@ -327,6 +330,8 @@ def cmd_threshold(args) -> tuple:
         outputs = {"detected": bool(value)}
     elif kind == "frustum":
         p, delta, n, m, b, eps = (_float_param(args.params, i, "frustum args") for i in range(6))
+        if not (n.is_integer() and m.is_integer()):
+            raise BadInput(f"frustum N and m must be integers, got {n} and {m}")
         value = frustum_predicate(p, delta, int(n), int(m), b, eps)
         outputs = {"detected": bool(value)}
     else:
@@ -342,24 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_target=True):
-        if with_target:
-            p.add_argument(
-                "target", choices=["bell2", "qudit", "ghz", "threeq", "upb"]
-            )
-            p.add_argument("params", nargs="*", help="target parameters")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=10000)
-        p.add_argument("--restarts", type=int, default=32)
+    def add_report(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--out", default=".")
         p.add_argument("--quiet", action="store_true")
 
-    add_common(sub.add_parser("witness", help="construct a witness"))
-    add_common(sub.add_parser("decompose", help="emit measurement settings"))
-    add_common(sub.add_parser("verify", help="run the invariant suite"))
-    est = sub.add_parser("estimate", help="finite-shot estimate of Tr(W rho)")
-    add_common(est)
+    def add_target(name, text):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("target", choices=["bell2", "qudit", "ghz", "threeq", "upb"])
+        p.add_argument("params", nargs="*", help="target parameters")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--restarts", type=int, default=32)
+        add_report(p)
+        return p
+
+    add_target("witness", "construct a witness").add_argument("--out", default=".")
+    add_target("decompose", "emit measurement settings").add_argument("--out", default=".")
+    add_target("verify", "run the invariant suite")
+    est = add_target("estimate", "finite-shot estimate of Tr(W rho)")
+    est.add_argument("--shots", type=int, default=10000)
     est.add_argument("--state", choices=["rho0", "tau0", "d0"], default="rho0")
     est.add_argument(
         "--decomposition", default=None, help="use a stored decomposition document"
@@ -367,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr = sub.add_parser("threshold", help="detection thresholds and predicates")
     thr.add_argument("kind", choices=["twoqubit", "qudit", "frustum"])
     thr.add_argument("params", nargs="*")
-    thr.add_argument("--format", choices=["json", "csv"], default="json")
-    thr.add_argument("--quiet", action="store_true")
+    add_report(thr)
     return parser
 
 

@@ -110,7 +110,7 @@ class ProductProjection:
 
     def vector(self) -> np.ndarray:
         """The full product vector (kron of the factors)."""
-        return reduce(np.kron, self.factors)
+        return tensor(*self.factors)
 
     def matrix(self) -> np.ndarray:
         v = self.vector()
@@ -133,40 +133,16 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))  # vdot conjugates a and sums entrywise
 
 
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(hs_inner(a, a).real))
-
-
-def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance sqrt(<a-b, a-b>)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return hs_norm(a - b)
-
-
-def _as_matrix_and_dims(rho, dims=None):
-    if isinstance(rho, DensityState):
-        return np.asarray(rho.mat), rho.dims
-    if dims is None:
-        raise ValueError("dims required when passing a bare matrix")
-    return np.asarray(rho, dtype=complex), tuple(dims)
-
-
-def partial_transpose(rho, parties, dims=None) -> np.ndarray:
-    """Transpose the tensor indices of the listed parties (0-based).
-
-    Accepts a DensityState or a bare matrix plus ``dims``.
-    """
-    mat, dd = _as_matrix_and_dims(rho, dims)
-    n = len(dd)
+def partial_transpose(mat: np.ndarray, parties, dims) -> np.ndarray:
+    """Transpose the tensor indices of the listed parties (0-based) of a matrix on dims."""
+    mat = np.asarray(mat)
+    n = len(dims)
     parties = sorted(set(int(p) for p in parties))
     if not parties:
         raise ValueError("parties must be a nonempty set")
     if parties[0] < 0 or parties[-1] >= n:
         raise ValueError(f"invalid party index in {parties} for {n} parties")
-    t = mat.reshape(*dd, *dd)
+    t = mat.reshape(*dims, *dims)
     perm = list(range(2 * n))
     for p in parties:
         perm[p], perm[n + p] = perm[n + p], perm[p]

@@ -25,12 +25,11 @@ single-outcome settings).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState
+from .linalg import DensityState, tensor
 from .spin import is_prime, projection_family
 from .states import (
     closest_separable,
@@ -87,7 +86,7 @@ class MeasurementSetting:
 
     def joint_isometry(self) -> np.ndarray:
         """Kron of the party bases; column o is the joint outcome vector."""
-        return reduce(np.kron, self.party_bases)
+        return tensor(*self.party_bases)
 
     def weighted_sum(self) -> np.ndarray:
         """M = sum_o weights[o] * |o><o| in the joint measurement basis."""

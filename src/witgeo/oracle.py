@@ -50,7 +50,9 @@ def ppt_report(rho: DensityState) -> PptReport:
         raise ValueError("need at least two parties")
     others = range(1, n)
     cuts = itertools.chain.from_iterable(itertools.combinations(others, r) for r in others)
-    return PptReport({c: float(np.linalg.eigvalsh(partial_transpose(rho, c))[0]) for c in cuts})
+    return PptReport(
+        {c: float(np.linalg.eigvalsh(partial_transpose(rho.mat, c, rho.dims))[0]) for c in cuts}
+    )
 
 
 # See-saw stopping rule: a restart ends once a sweep lowers the objective

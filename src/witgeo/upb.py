@@ -16,10 +16,10 @@ witness
 
     W = eps*N/(N-m) * (mu0 - eps/m * I)
 
-detects rho0 while staying nonnegative on the separable set; it
-coincides with the hyperplane construction through the segment point
-tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m, and Witness checks
-that coincidence on construction.
+detects rho0 while staying nonnegative on the separable set.  It
+coincides with the hyperplane form tau0 + c0*I - rho0 through the segment
+point tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m; far_face_witness
+checks that coincidence once, on construction.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState, ProductProjection, SystemShape, hs_inner
+from .linalg import DensityState, ProductProjection, SystemShape, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
-from .witness import Witness
+from .witness import Witness, _hyperplane
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class UpbSet:
         return len(self.vectors)
 
     def product_vector(self, k: int) -> np.ndarray:
-        return reduce(np.kron, self.vectors[k])
+        return tensor(*self.vectors[k])
 
     def projector(self, k: int) -> np.ndarray:
         v = self.product_vector(k)
@@ -159,7 +159,9 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     """Witness eps*N/(N-m) * (mu0 - eps/m * I) for the UPB's bound entangled state.
 
     The hyperplane data are tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m
-    and its c0; Witness checks the closed form against tau0 + c0 I - rho0.
+    and its c0; the closed form must equal tau0 + c0 I - rho0, and it is the
+    stored matrix.  Detection is decided on the closed form: near eps = 0
+    the hyperplane form's Tr(W rho0) ~ -eps^2 is below its rounding.
     (tau0 is a hyperplane intersection point here, not itself separable.)
     """
     n = upb.shape.size
@@ -171,7 +173,9 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     closed = eps * n / (n - m) * (mu.mat - eps / m * np.eye(n))
 
     s0 = 1.0 - eps * n / m
-    tau0_mat = (1 - s0) * np.eye(n) / n + s0 * rho0.mat
-    tau0 = DensityState(tau0_mat, upb.shape)
-    c0 = hs_inner(tau0_mat, rho0.mat - tau0_mat).real
+    tau0 = DensityState((1 - s0) * np.eye(n) / n + s0 * rho0.mat, upb.shape)
+    c0, w = _hyperplane(rho0, tau0)
+    dev = np.abs(closed - w).max()
+    if dev > 1e-10:
+        raise AssertionError(f"far-face witness deviates from tau0 + c0 I - rho0 by {dev:.3e}")
     return Witness(matrix=closed, c0=c0, rho0=rho0, tau0=tau0, s0=s0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from witgeo import cli
 from witgeo import io as wio
-from witgeo import upb as upb_module
+from witgeo import witness as witness_module
 from witgeo.cli import main
 from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.upb import tiles as upb_tiles
@@ -82,10 +82,10 @@ class TestWitnessCommand:
 
     def test_far_face_form_mismatch_is_internal(self, capsys, monkeypatch, tmp_path):
         # a c0 off by 1e-6 puts the closed form 1e-6 away from tau0 + c0 I - rho0
-        monkeypatch.setattr(upb_module, "hs_inner", lambda a, b: complex(np.vdot(a, b)) + 1e-6)
+        monkeypatch.setattr(witness_module, "hs_inner", lambda a, b: complex(np.vdot(a, b)) + 1e-6)
         code = main(["witness", "upb", "tiles", "--seed", "1", "--out", str(tmp_path)])
         assert code == cli.EXIT_INTERNAL
-        assert "violates its defining form" in capsys.readouterr().err
+        assert "deviates from tau0 + c0 I - rho0" in capsys.readouterr().err
 
     def test_ghz(self, capsys, tmp_path):
         code, doc = run_json(capsys, "witness", "ghz", "3", "--out", str(tmp_path))
@@ -157,61 +157,61 @@ class TestDecomposeCommand:
 
 
 class TestVerifyCommand:
-    def test_bell2_passes(self, capsys, tmp_path):
+    def test_bell2_passes(self, capsys):
         code, doc = run_json(
             capsys,
-            "verify", "bell2", "--seed", "2", "--restarts", "16", "--out", str(tmp_path),
+            "verify", "bell2", "--seed", "2", "--restarts", "16",
         )
         assert code == 0
         assert doc["failed"] == []
         assert doc["checks"]["positive_on_products"]["passed"]
 
-    def test_requires_seed(self, capsys, tmp_path):
-        code, _ = run(capsys, "verify", "bell2", "--out", str(tmp_path))
+    def test_requires_seed(self, capsys):
+        code, _ = run(capsys, "verify", "bell2")
         assert code == 2
 
-    def test_threeq_reports_positivity_defect(self, capsys, tmp_path):
+    def test_threeq_reports_positivity_defect(self, capsys):
         # the constructed three-qubit plane cuts into the product states,
         # so the honest verification outcome is a failure exit
         code, doc = run_json(
             capsys,
             "verify", "threeq", "0", "0.125",
-            "--seed", "2", "--restarts", "16", "--out", str(tmp_path),
+            "--seed", "2", "--restarts", "16",
         )
         assert code == 1
         assert doc["failed"] == ["positive_on_products"]
         assert doc["checks"]["ppt_all_cuts"]["passed"]
         assert doc["checks"]["induced_inner_product_identity"]["passed"]
 
-    def test_upb_passes(self, capsys, tmp_path):
+    def test_upb_passes(self, capsys):
         code, doc = run_json(
             capsys,
             "verify", "upb", "tiles",
-            "--seed", "2", "--restarts", "24", "--out", str(tmp_path),
+            "--seed", "2", "--restarts", "24",
         )
         assert code == 0
         assert doc["failed"] == []
 
-    def test_upb_positivity_not_checked_on_the_eps_stream(self, capsys, tmp_path):
+    def test_upb_positivity_not_checked_on_the_eps_stream(self, capsys):
         # one restart on seed 2 sets eps = 0.06699, far above the true 0.028416;
         # a see-saw on the stream that set eps would find its own minimum again
         # and pass a witness that is negative on a product state
         code, doc = run_json(
             capsys,
             "verify", "upb", "tiles",
-            "--seed", "2", "--restarts", "1", "--out", str(tmp_path),
+            "--seed", "2", "--restarts", "1",
         )
         assert code == 1
         assert doc["failed"] == ["positive_on_products"]
         assert doc["checks"]["positive_on_products"]["value"] < -1e-4
 
-    def test_negative_seed_is_bad_input(self, capsys, tmp_path):
-        code, _ = run(capsys, "verify", "bell2", "--seed", "-1", "--out", str(tmp_path))
+    def test_negative_seed_is_bad_input(self, capsys):
+        code, _ = run(capsys, "verify", "bell2", "--seed", "-1")
         assert code == 2
 
     def test_identity_fault_fails(self, capsys, monkeypatch):
-        # an entrywise 5e-11 offset passes the witness's own 1e-10 form check and
-        # the reconstruction residual, but shifts Tr(W rho) by up to 64 * 5e-11
+        # an entrywise 5e-11 offset passes the 1e-10 reconstruction residual,
+        # but shifts Tr(W rho) by up to 64 * 5e-11
         g = ghz_witness(6)
         w = g.witness
         faulty = Witness(w.matrix + 5e-11 * np.ones((64, 64)), w.c0, w.rho0, w.tau0)
@@ -225,30 +225,30 @@ class TestVerifyCommand:
 
 
 class TestEstimateCommand:
-    def test_bell2_z_score(self, capsys, tmp_path):
+    def test_bell2_z_score(self, capsys):
         code, doc = run_json(
             capsys,
-            "estimate", "bell2", "--shots", "100000", "--seed", "3", "--out", str(tmp_path),
+            "estimate", "bell2", "--shots", "100000", "--seed", "3",
         )
         assert code == 0
         est = doc["outputs"]["estimate"]["value"]
         assert est == pytest.approx(-1 / 3, abs=1e-12)
         assert abs(doc["outputs"]["z_score"]["value"]) <= 5
 
-    def test_boundary_state(self, capsys, tmp_path):
+    def test_boundary_state(self, capsys):
         code, doc = run_json(
             capsys,
             "estimate", "qudit", "3",
-            "--state", "tau0", "--shots", "20000", "--seed", "3", "--out", str(tmp_path),
+            "--state", "tau0", "--shots", "20000", "--seed", "3",
         )
         assert code == 0
         assert doc["outputs"]["exact"]["value"] == pytest.approx(0.0, abs=1e-12)
         assert abs(doc["outputs"]["z_score"]["value"]) <= 5
 
-    def test_reproducible(self, capsys, tmp_path):
+    def test_reproducible(self, capsys):
         args = (
             "estimate", "bell2", "--state", "d0",
-            "--shots", "5000", "--seed", "9", "--out", str(tmp_path),
+            "--shots", "5000", "--seed", "9",
         )
         code1, doc1 = run_json(capsys, *args)
         code2, doc2 = run_json(capsys, *args)
@@ -256,16 +256,16 @@ class TestEstimateCommand:
         doc2.pop("wall_time_s")
         assert doc1 == doc2
 
-    def test_requires_seed(self, capsys, tmp_path):
-        code, _ = run(capsys, "estimate", "bell2", "--out", str(tmp_path))
+    def test_requires_seed(self, capsys):
+        code, _ = run(capsys, "estimate", "bell2")
         assert code == 2
 
     @pytest.mark.parametrize(
         "shots,expected", [(2**63 - 1, 0), (2**63, 2), (10**30, 2)], ids=["max", "2^63", "1e30"]
     )
-    def test_shot_count_range(self, capsys, tmp_path, shots, expected):
+    def test_shot_count_range(self, capsys, shots, expected):
         # numpy draws int64 counts; a larger count is bad input, not an internal error
-        argv = ["estimate", "bell2", "--shots", str(shots), "--seed", "1", "--out", str(tmp_path)]
+        argv = ["estimate", "bell2", "--shots", str(shots), "--seed", "1"]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == expected
@@ -274,12 +274,12 @@ class TestEstimateCommand:
             assert captured.err.startswith("error: shots per setting must lie in [1, ")
 
     @pytest.mark.parametrize("d", ("3", "7"))
-    def test_zero_variance_target(self, capsys, tmp_path, d):
+    def test_zero_variance_target(self, capsys, d):
         # every draw on rho0 carries the weight 1/d, so the estimate has no spread
         code, doc = run_json(
             capsys,
             "estimate", "qudit", d,
-            "--state", "rho0", "--shots", "1000", "--seed", "4", "--out", str(tmp_path),
+            "--state", "rho0", "--shots", "1000", "--seed", "4",
         )
         assert code == 0
         assert doc["outputs"]["estimate"]["stderr"] == 0.0
@@ -291,7 +291,7 @@ class TestEstimateCommand:
             capsys,
             "estimate", "bell2",
             "--decomposition", str(tmp_path / "bell2_decomposition.json"),
-            "--shots", "5000", "--seed", "9", "--out", str(tmp_path),
+            "--shots", "5000", "--seed", "9",
         )
         assert code == 0
         assert doc["outputs"]["estimate"]["value"] == pytest.approx(-1 / 3, abs=1e-12)
@@ -302,7 +302,7 @@ class TestEstimateCommand:
             capsys,
             "estimate", "bell2",
             "--decomposition", str(tmp_path / "qudit3_decomposition.json"),
-            "--shots", "100", "--seed", "9", "--out", str(tmp_path),
+            "--shots", "100", "--seed", "9",
         )
         assert code == 2
 
@@ -383,7 +383,8 @@ def test_settings_built_only_when_used(capsys, monkeypatch, tmp_path, argv, buil
         monkeypatch.setattr(
             cli, name, lambda *a, _b=builder, _n=name: calls.append(_n) or _b(*a)
         )
-    assert main([*argv, "--out", str(tmp_path)]) in (0, 1)
+    monkeypatch.chdir(tmp_path)  # witness and decompose write to the working directory
+    assert main(argv) in (0, 1)
     assert len(calls) == builds, calls
 
 
@@ -404,7 +405,8 @@ def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    assert main([*argv, "--out", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)  # witness and decompose write to the working directory
+    assert main(argv) == 0
     assert len(calls) == spectra, calls
 
 
@@ -479,6 +481,42 @@ class TestThresholdCommand:
     def test_bad_input(self, capsys):
         code, _ = run(capsys, "threshold", "qudit", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["twoqubit", "nan", "1", "0"],
+            ["twoqubit", "1", "1", "inf"],
+            ["twoqubit", "1", "1", "1e308"],  # finite, but 1 + 4*delta overflows
+            ["qudit", "3", "1,1,1", "nan", "0"],
+            ["qudit", "3", "1,nan,1", "0.5", "0"],
+            ["frustum", "1", "0", "inf", "5", "5", "0.028"],
+            ["frustum", "1", "0", "9.7", "5", "5", "0.028"],
+            ["qudit", "3", {"a": 1}, "0.5", "0"],
+            ["qudit", "3", [[1, 1, 1]], "0.5", "0"],
+            ["qudit", "3", [True, 1, 1], "0.5", "0"],
+            ["qudit", "3", ["1", 1, 1], "0.5", "0"],
+            ["qudit", "3", [float("nan"), 1, 1], "0.5", "0"],
+            ["qudit", "3", [10**400, 1, 1], "0.5", "0"],
+        ],
+        ids=[
+            "twoqubit_nan_a", "twoqubit_inf_delta", "twoqubit_huge_delta", "qudit_nan_p",
+            "qudit_nan_amplitude", "frustum_inf_n", "frustum_fractional_n", "file_object",
+            "file_nested", "file_bool", "file_string", "file_nan", "file_huge_int",
+        ],
+    )
+    def test_rejects_bad_numbers(self, capsys, tmp_path, params):
+        # a non-JSON list in the amplitudes file stands for that file
+        path = tmp_path / "amps.json"
+        argv = []
+        for param in params:
+            if not isinstance(param, str):
+                path.write_text(json.dumps(param))
+                param = str(path)
+            argv.append(param)
+        code, out = run(capsys, "threshold", *argv)
+        assert code == 2
+        assert out == ""
 
 
 class TestOutputModes:

@@ -14,9 +14,10 @@ from witgeo.linalg import DensityState, SystemShape
 from witgeo.measurements import qudit_decomposition, two_qubit_decomposition
 from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
-from witgeo.witness import nearest_witness, segment_witness
+from witgeo.witness import nearest_witness
 
 from json_reference import reference_text
+from segment_reference import segment_witness
 from upb_document import upb_doc
 
 
@@ -273,7 +274,7 @@ def test_state_loading_validates(tmp_path):
 
 
 def test_witness_round_trip(tmp_path):
-    w = segment_witness(max_entangled(2), closest_separable(2), 1 / 3)
+    w = bell2_witness()
     path = tmp_path / "w.json"
     wio.save_witness(path, w)
     mat, dims, c0, s0 = wio.load_witness_matrix(path)

@@ -7,7 +7,6 @@ from witgeo.linalg import (
     DensityState,
     ProductProjection,
     SystemShape,
-    hs_distance,
     hs_inner,
     partial_transpose,
     tensor,
@@ -75,17 +74,6 @@ class TestHsInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hs_inner(np.eye(2), np.eye(3))
-
-
-class TestHsDistance:
-    def test_zero_on_equal(self):
-        a = np.arange(9, dtype=complex).reshape(3, 3)
-        assert hs_distance(a, a) == 0.0
-
-    def test_bell_values(self):
-        assert hs_distance(BELL, TAU0_2Q) == pytest.approx(np.sqrt(1 / 3), abs=1e-12)
-        # Tr rho^2 = 1, Tr D0^2 = 1/4, Tr rho D0 = 1/4
-        assert hs_distance(np.eye(4) / 4, BELL) == pytest.approx(np.sqrt(3 / 4), abs=1e-12)
 
 
 class TestPartialTranspose:

@@ -28,7 +28,8 @@ from witgeo.states import (
     three_qubit_separable_candidates,
 )
 from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
-from witgeo.witness import segment_witness
+
+from segment_reference import segment_state
 
 TOL_PSD = 1e-9
 SPECTRUM_MAX_N = 1024
@@ -82,8 +83,8 @@ def _ghz_tau0(n):
 
 def _tau_tilde(ds):
     d, s0 = ds
-    w = segment_witness(max_entangled(d), closest_separable(d), s0)
-    return w.tau_tilde, _segment_terms(s0, d * d, _max_entangled_terms(d))
+    terms = _segment_terms(s0, d * d, _max_entangled_terms(d))
+    return segment_state(max_entangled(d), s0), terms
 
 
 CASES = {
@@ -98,9 +99,7 @@ CASES = {
                        _segment_terms(1 / (d + 1), d * d, _max_entangled_terms(d))))
         for d in QUDIT_DIMS
     ],
-    # segment_witness has no CLI caller yet.  Its s0 lies in (0, 1); below about 1e-7
-    # the witness fails its own defining-form check (I/(N s0) cancels tau~0/s0), so
-    # the low end here is 1e-6.  tau~0 has the segment form closest_separable covers.
+    # tau~0 = (1-s0) I/N + s0 rho0, s0 in (0, 1): the segment form closest_separable covers
     "tau_tilde": [((d, s0), _tau_tilde) for d in (2, 3, 5, 31, 37)
                   for s0 in (1e-6, 1 / (d + 1), 1 - 1e-9)],
     "ghz": [(n, lambda n: (ghz(n), _ghz_terms(n))) for n in GHZ_PARTIES],

@@ -67,9 +67,23 @@ def test_package_never_loads_scipy():
     assert out.stdout.strip() == "[]", f"scipy modules loaded: {out.stdout.strip()}"
 
 
-# Public names that nothing calls yet: the segment route to W0 through tau~0,
-# which ROADMAP item 5 wires into the witness report.
-AWAITING_CALLERS = {"segment_witness", "ghz_segment_state"}
+def test_kron_only_in_tensor():
+    # one Kronecker routine: products of party factors go through linalg.tensor
+    found = sorted(
+        f"{path.name}:{sub.lineno}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and sub.attr == "kron"
+        and (path.name, getattr(node, "name", None)) != ("linalg.py", "tensor")
+    )
+    assert not found, f"np.kron outside linalg.tensor: {found}"
+
+
+# Public names that nothing calls yet: the GHZ segment state tau~0, which
+# ROADMAP item 5 wires into the witness report.
+AWAITING_CALLERS = {"ghz_segment_state"}
 
 
 def _public(nodes):

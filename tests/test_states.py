@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import hs_distance, hs_inner, partial_transpose, tensor
+from witgeo.linalg import hs_inner, partial_transpose, tensor
 from witgeo.states import (
     PAULI_X,
     closest_separable,
@@ -43,14 +43,15 @@ class TestMaxEntangled:
     def test_partial_transpose_signature(self):
         # all cuts of the maximally entangled state dip to -1/d
         for d in (2, 3, 5):
-            pt = partial_transpose(max_entangled(d), [1])
+            rho = max_entangled(d)
+            pt = partial_transpose(rho.mat, [1], rho.dims)
             assert np.linalg.eigvalsh(pt).min() == pytest.approx(-1 / d, abs=1e-10)
 
 
 class TestSchmidtState:
     def test_product_case_is_separable(self):
         st = schmidt_state([1.0, 0.0])
-        pt = partial_transpose(st, [1])
+        pt = partial_transpose(st.mat, [1], st.dims)
         assert np.linalg.eigvalsh(pt).min() >= -1e-12
 
     def test_two_qubit_amplitudes(self):
@@ -73,12 +74,12 @@ class TestNoiseBall:
         d0 = completely_random((2, 2))
         for seed in range(5):
             sigma = noise_ball((2, 2), 0.05, seed)
-            assert hs_distance(sigma.mat, d0.mat) < 0.05
+            assert np.linalg.norm(sigma.mat - d0.mat) < 0.05
             assert np.linalg.eigvalsh(sigma.mat).min() >= -1e-12
 
     def test_tiny_ball_approaches_center(self):
         sigma = noise_ball((2, 2), 1e-9, 0)
-        assert hs_distance(sigma.mat, completely_random((2, 2)).mat) < 1e-9
+        assert np.linalg.norm(sigma.mat - completely_random((2, 2)).mat) < 1e-9
 
     def test_deterministic_and_seed_sensitive(self):
         a = noise_ball((2, 2), 0.1, 7)
@@ -208,7 +209,7 @@ class TestThreeQubitFamily:
         for c, d in ((0.125, -0.125), (0.1, -0.05), (0.0, 0.125)):
             st = three_qubit_family(c, d)
             for cut in ([0], [1], [2]):
-                w = np.linalg.eigvalsh(partial_transpose(st, cut))
+                w = np.linalg.eigvalsh(partial_transpose(st.mat, cut, st.dims))
                 assert w.min() >= -1e-10
 
 

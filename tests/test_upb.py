@@ -73,7 +73,7 @@ class TestBoundEntangled:
     def test_ppt_both_cuts(self, tiles_upb):
         rho = bound_entangled(tiles_upb)
         for cut in ([0], [1]):
-            w = np.linalg.eigvalsh(partial_transpose(rho, cut))
+            w = np.linalg.eigvalsh(partial_transpose(rho.mat, cut, rho.dims))
             assert w.min() >= -1e-10
 
     def test_rejects_indefinite_complement(self):
@@ -133,6 +133,13 @@ class TestFarFaceWitness:
         want = -eps * eps * 9 / (5 * 4)
         assert evaluate(w, w.rho0) == pytest.approx(want, abs=1e-12)
 
+    def test_detects_at_small_eps(self, tiles_upb):
+        # Tr(W rho0) = -eps^2 N/(m(N-m)) sinks below the rounding of the hyperplane
+        # form tau0 + c0 I - rho0 near eps = 1e-9; the closed form still resolves it
+        for eps in np.logspace(-11, -8, 13):
+            w = far_face_witness(tiles_upb, eps)
+            assert evaluate(w, w.rho0) == pytest.approx(-eps * eps * 9 / 20, rel=1e-6)
+
     def test_vanishes_on_argmin(self, tiles_upb, eps_estimate):
         w = far_face_witness(tiles_upb, eps_estimate.epsilon)
         val = np.trace(w.matrix @ eps_estimate.argmin.matrix()).real
@@ -177,7 +184,7 @@ class TestReweighted:
     def test_tilted_weights(self, tiles_upb, eps_estimate):
         rho_b = reweighted_bound_entangled(tiles_upb, [0.24, 0.19, 0.19, 0.19, 0.19])
         for cut in ([0], [1]):
-            w = np.linalg.eigvalsh(partial_transpose(rho_b, cut))
+            w = np.linalg.eigvalsh(partial_transpose(rho_b.mat, cut, rho_b.dims))
             assert w.min() >= -1e-10
 
     def test_detection_region(self, tiles_upb, eps_estimate):

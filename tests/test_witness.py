@@ -13,6 +13,7 @@ from witgeo.states import (
     three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
+from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
 from witgeo.witness import (
     DETECTION_TOL,
     Witness,
@@ -21,12 +22,12 @@ from witgeo.witness import (
     identity_deviation,
     nearest_witness,
     qudit_detection_predicate,
-    segment_witness,
     two_qubit_noise_threshold,
 )
 
 from paper_states import noise_ball
 from random_states import random_density, sampled_identity_deviation
+from segment_reference import segment_state, segment_witness
 
 # the two-qubit witness matrix: entries 0 and +-1/3
 W2Q = np.zeros((4, 4))
@@ -73,7 +74,9 @@ class TestSegmentWitness:
         w = segment_witness(max_entangled(2), closest_separable(2), 1 / 3)
         assert np.abs(w.matrix - W2Q).max() <= 1e-12
         assert w.s0 == pytest.approx(1 / 3)
-        assert w.tau_tilde is not None
+        # at s0 = 1/3 the segment point is the closest separable state itself
+        tau_tilde = segment_state(max_entangled(2), 1 / 3)
+        assert np.abs(tau_tilde.mat - closest_separable(2).mat).max() <= 1e-15
 
     def test_qutrit_substitution(self):
         w1 = segment_witness(max_entangled(3), closest_separable(3), 1 / 4)
@@ -242,15 +245,16 @@ class TestFrustumPredicate:
 
 
 class TestWitnessInvariants:
-    def test_dataclass_rejects_inconsistent_c0(self):
-        # both are faults of the program (exit 3), not of its input
-        rho = max_entangled(2)
-        tau = closest_separable(2)
-        w = tau.mat + (1 / 6) * np.eye(4) - rho.mat
-        with pytest.raises(AssertionError, match="defining form"):
-            Witness(matrix=w, c0=0.3, rho0=rho, tau0=tau)
-        with pytest.raises(AssertionError, match="inconsistent with states"):
-            Witness(matrix=w + (0.3 - 1 / 6) * np.eye(4), c0=0.3, rho0=rho, tau0=tau)
+    def test_stored_matrices_are_their_formulas(self):
+        # each constructor stores the matrix of its own formula, bit for bit
+        rho, tau = max_entangled(3), closest_separable(3)
+        w = nearest_witness(rho, tau)
+        assert np.array_equal(w.matrix, tau.mat + w.c0 * np.eye(9) - rho.mat)
+        upb, eps = tiles(), 0.028416
+        far = far_face_witness(upb, eps)
+        closed = eps * 9 / 4 * (uniform_mixture(upb).mat - eps / 5 * np.eye(9))
+        assert np.array_equal(far.matrix, closed)
+        assert np.array_equal(far.rho0.mat, bound_entangled(upb).mat)
 
     def test_three_qubit_detection_is_mean_independent(self):
         t = 0.08
