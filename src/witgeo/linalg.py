@@ -104,18 +104,6 @@ class ProductProjection:
             if abs(np.linalg.norm(f) - 1.0) > 1e-12:
                 raise ValueError("product factors must be unit vectors")
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.factors)
-
-    def vector(self) -> np.ndarray:
-        """The full product vector (kron of the factors)."""
-        return tensor(*self.factors)
-
-    def matrix(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
-
 
 def tensor(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product with party 1 most significant: |jk> -> j*d2 + k."""

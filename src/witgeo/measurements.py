@@ -37,7 +37,6 @@ from .states import (
     ghz_corner_mix,
     ghz_dephased,
     max_entangled,
-    three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
 from .witness import Witness, nearest_witness
@@ -207,19 +206,10 @@ def three_qubit_decomposition(t: float) -> WitnessDecomposition:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    patterns = [
-        (("x", "x", "x"), +1),
-        (("y", "y", "x"), -1),
-        (("y", "x", "y"), -1),
-        (("x", "y", "y"), +1),
-    ]
     settings = []
-    for axes, parity in patterns:
-        setting = MeasurementSetting(
-            tuple(_PAULI_BASES[ax] for ax in axes),
-            _parity_weights(3, parity, 0.25),
-        )
-        settings.append((-2.0 * t, setting))
+    for axes, parity in (("xxx", +1), ("yyx", -1), ("yxy", -1), ("xyy", +1)):
+        bases = tuple(_PAULI_BASES[ax] for ax in axes)
+        settings.append((-2.0 * t, MeasurementSetting(bases, _parity_weights(3, parity, 0.25))))
     return WitnessDecomposition(1.25 * t, tuple(settings))
 
 
@@ -424,4 +414,4 @@ def three_qubit_witness(m: float, t: float) -> Witness:
     phi = (pi/4, -pi/4, -pi/4).
     """
     cands = three_qubit_separable_candidates(m, t)
-    return nearest_witness(three_qubit_family_mt(m, t), cands.nearest)
+    return nearest_witness(cands.rho, cands.nearest)

@@ -8,10 +8,11 @@ Multipartite side: the n-qubit GHZ family with its dephased and
 corner-correlated separable companions, and the two-parameter
 three-qubit bound entangled family with its separable candidates.
 
-Every constructor returns a DensityState, a convex combination of positive
-semidefinite matrices by its form.  Constructors with a second, independent
-formula for the same matrix (the three-qubit family, the GHZ segment state)
-evaluate both routes and refuse to return on disagreement.
+Every constructor but pauli_parity_state (a bare 8 x 8 matrix) returns a
+DensityState, a convex combination of positive semidefinite matrices by its
+form.  Constructors with a second, independent formula for the same matrix
+(the three-qubit family, the GHZ segment state) evaluate both routes and
+refuse to return on disagreement.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState, ProductProjection, SystemShape, tensor
+from .linalg import DensityState, SystemShape, tensor
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {1: PAULI_X, 2: PAULI_Y}
 
 
@@ -119,52 +119,22 @@ def ghz_segment_state(n: int) -> DensityState:
 # three-qubit bound entangled family
 
 
-class PauliParityState(NamedTuple):
-    matrix: np.ndarray
-    products: list[tuple[float, ProductProjection]]
-
-
-def pauli_parity_state(j: int, k: int, l: int, sign: int) -> PauliParityState:
-    """(1/8)[I + sign * sigma_j x sigma_k x sigma_l] with its product expansion.
+def pauli_parity_state(j: int, k: int, l: int, sign: int) -> np.ndarray:
+    """The 8 x 8 matrix (1/8)[I + sign * sigma_j x sigma_k x sigma_l].
 
     Indices take values 1 (sigma_x) or 2 (sigma_y).  The matrix is an
     equal mixture of the four rank-1 products
 
         (I + s1*sigma_j)/2 x (I + s2*sigma_k)/2 x (I + sign*s1*s2*sigma_l)/2
 
-    over (s1, s2) in {+1, -1}^2: the cross terms cancel because each of
-    s1, s2 and s1*s2 sums to zero.
+    over (s1, s2) in {+1, -1}^2, hence a separable state: the cross terms
+    cancel because each of s1, s2 and s1*s2 sums to zero.
     """
     if j not in _PAULI or k not in _PAULI or l not in _PAULI:
         raise ValueError("indices must be 1 (sigma_x) or 2 (sigma_y)")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    eye8 = np.eye(8, dtype=complex)
-    mat = (eye8 + sign * tensor(_PAULI[j], _PAULI[k], _PAULI[l])) / 8
-
-    products = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            facs = (
-                _bloch_eigvec(_PAULI[j], s1),
-                _bloch_eigvec(_PAULI[k], s2),
-                _bloch_eigvec(_PAULI[l], sign * s1 * s2),
-            )
-            products.append((0.25, ProductProjection(facs)))
-    avg = sum(w * p.matrix() for w, p in products)
-    dev = np.abs(avg - mat).max()
-    if dev > 1e-12:
-        raise AssertionError(f"product expansion disagrees with matrix by {dev:.3e}")
-    return PauliParityState(mat, products)
-
-
-def _bloch_eigvec(pauli: np.ndarray, sign: int) -> np.ndarray:
-    w, v = np.linalg.eigh(pauli)
-    idx = int(np.argmax(w)) if sign > 0 else int(np.argmin(w))
-    vec = v[:, idx]
-    # fix the global phase so the first nonzero entry is real positive
-    k = int(np.flatnonzero(np.abs(vec) > 1e-9)[0])
-    return vec * (abs(vec[k]) / vec[k])
+    return (np.eye(8, dtype=complex) + sign * tensor(_PAULI[j], _PAULI[k], _PAULI[l])) / 8
 
 
 def _anti_diagonal_density(fv) -> np.ndarray:
@@ -196,9 +166,9 @@ def three_qubit_family(c: float, d: float) -> DensityState:
     m = (c + d) / 2
     t = (c - d) / 2
     via_parity = (
-        (0.5 + 4 * m) * pauli_parity_state(1, 1, 1, +1).matrix
-        + (0.5 - 4 * m) * pauli_parity_state(2, 2, 1, -1).matrix
-        + 4 * t * (pauli_parity_state(2, 1, 2, -1).matrix + pauli_parity_state(1, 2, 2, +1).matrix)
+        (0.5 + 4 * m) * pauli_parity_state(1, 1, 1, +1)
+        + (0.5 - 4 * m) * pauli_parity_state(2, 2, 1, -1)
+        + 4 * t * (pauli_parity_state(2, 1, 2, -1) + pauli_parity_state(1, 2, 2, +1))
         - 8 * t * np.eye(8, dtype=complex) / 8
     )
     dev = np.abs(mat - via_parity).max()
@@ -213,12 +183,13 @@ def three_qubit_family_mt(m: float, t: float) -> DensityState:
 
 
 class SeparableCandidates(NamedTuple):
+    rho: DensityState       # the family member at (m, t) itself
     nearest: DensityState   # published nearest state: separable, not the closest
     segment: DensityState   # last separable state on the segment from I/N
 
 
 def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
-    """Separable companions of the three-qubit family member at (m, t), t > 0.
+    """The three-qubit family member rho(m, t), t > 0, with its separable companions.
 
     ``nearest`` has anti-diagonal (m - t/2, m + t/2, 1/8 - t/2, 1/8 - t/2)
     and diagonal 1/8.  It is separable, a mixture of the Pauli-parity
@@ -243,4 +214,4 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
     )
     d0 = np.eye(8, dtype=complex) / 8
     segment = DensityState((rho.mat + 8 * t * d0) / (1 + 8 * t), SystemShape((2, 2, 2)))
-    return SeparableCandidates(nearest, segment)
+    return SeparableCandidates(rho, nearest, segment)

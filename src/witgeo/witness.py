@@ -21,6 +21,7 @@ gives the same observable; the tests keep it as a reference route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,18 +116,24 @@ def qudit_detection_predicate(d: int, amps, p: float, delta: float) -> bool:
 
     True when (1-p)/p * (1 - 1/d + delta*sqrt(2d(d-1))) < (sum_k a_k)^2 - 1,
     with ||sigma - I/N|| < delta.  At d = 2 this reduces to the threshold
-    form of two_qubit_noise_threshold.
+    form of two_qubit_noise_threshold.  p = 0 detects nothing.
     """
     a = np.asarray(amps, dtype=float)
     if abs(np.dot(a, a) - 1.0) > 1e-10:
         raise ValueError("coefficients not normalized")
     if len(a) != d:
         raise ValueError(f"expected {d} coefficients, got {len(a)}")
-    if not 0.0 < p <= 1.0:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    # Python floats overflow to inf without a numpy warning; an infinite term
+    # would give 0 * inf at p = 1
+    term = 1 - 1 / d + delta * math.sqrt(2 * d * (d - 1))
+    if not (delta >= 0 and math.isfinite(term)):
+        raise ValueError(f"delta must be nonnegative with a finite noise term, got {delta}")
+    if p == 0:
         return False
-    lhs = (1 - p) / p * (1 - 1 / d + delta * np.sqrt(2 * d * (d - 1)))
     rhs = float(np.sum(a)) ** 2 - 1
-    return bool(lhs < rhs)
+    return bool((1 - p) / p * term < rhs)
 
 
 def frustum_predicate(p: float, delta: float, n: int, m: int, b: float, eps: float) -> bool:
@@ -136,9 +143,13 @@ def frustum_predicate(p: float, delta: float, n: int, m: int, b: float, eps: flo
     which case (1-p)*sigma + p*rho_b stays on the detected side of the
     far-face hyperplane for every sigma within delta of I/N.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     if not 0 < b <= m < n:
         raise ValueError(f"need 0 < b <= m < N, got b={b}, m={m}, N={n}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lhs = p * (m - b) / (n - b) + (1 - p) / n + (1 - p) * delta / np.sqrt(m)
+    lhs = p * (m - b) / (n - b) + (1 - p) / n + (1 - p) * delta / math.sqrt(m)  # m may exceed int64
     return bool(lhs < eps / m)

@@ -52,6 +52,7 @@ from witgeo.witness import (
 
 from paper_states import noise_ball
 from product_bound import bell_bound_three_qubit, product_bound_objective, product_from_angles
+from product_projection import product_matrix
 from random_states import random_density
 from spin_reference import spin_matrix, spin_relations
 
@@ -249,7 +250,7 @@ def test_criterion_06_three_qubit_family():
     for _ in range(100):
         thetas = rng.uniform(0, np.pi / 2, size=3)
         phis = rng.uniform(-np.pi, np.pi, size=3)
-        pi_mat = product_from_angles(thetas, phis).matrix()
+        pi_mat = product_matrix(product_from_angles(thetas, phis))
         lhs = 2 * np.trace(wn @ pi_mat).real
         rhs = 2 - product_bound_objective(thetas, phis)
         worst_id = max(worst_id, abs(lhs - rhs))
@@ -293,7 +294,7 @@ def test_criterion_06_three_qubit_family():
     # product into the claimed nearest state moves it closer to rho.
     rho = three_qubit_family_mt(0.0, t).mat
     tau = three_qubit_separable_candidates(0.0, t).nearest.mat
-    pi_star = res.argmin.matrix()
+    pi_star = product_matrix(res.argmin)
     eps = hs_inner(rho - tau, pi_star - tau).real / np.linalg.norm(pi_star - tau) ** 2
     before = np.linalg.norm(rho - tau)
     after = np.linalg.norm(rho - ((1 - eps) * tau + eps * pi_star))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from witgeo import cli
 from witgeo import io as wio
+from witgeo import states
 from witgeo import witness as witness_module
 from witgeo.cli import main
 from witgeo.measurements import ghz_settings, ghz_witness
@@ -410,6 +411,20 @@ def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra)
     assert len(calls) == spectra, calls
 
 
+@pytest.mark.parametrize("command", ["witness", "decompose"])
+def test_three_qubit_family_built_once(capsys, monkeypatch, tmp_path, command):
+    # one build, so one comparison with the parity expansion; the product
+    # expansion of the parity states is an identity test_states.py checks
+    families, eighs = [], []
+    family, eigh = states.three_qubit_family, np.linalg.eigh
+    monkeypatch.setattr(states, "three_qubit_family", lambda *a: families.append(a) or family(*a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "threeq", "0", "0.125"]) == 0
+    assert len(families) == 1, families
+    assert eighs == []
+
+
 def test_stored_decomposition_skips_build(capsys, monkeypatch, tmp_path):
     run_json(capsys, "decompose", "qudit", "5", "--out", str(tmp_path))
     argv = ["estimate", "qudit", "5", "--seed", "2", "--shots", "100"]
@@ -498,11 +513,19 @@ class TestThresholdCommand:
             ["qudit", "3", ["1", 1, 1], "0.5", "0"],
             ["qudit", "3", [float("nan"), 1, 1], "0.5", "0"],
             ["qudit", "3", [10**400, 1, 1], "0.5", "0"],
+            ["qudit", "3", "1,1,1", "0.2", "-5"],
+            ["qudit", "3", "1,1,1", "1.5", "0"],
+            ["qudit", "3", "1,1,1", "1", "1e308"],  # finite, but the noise term overflows
+            ["frustum", "5", "-3", "9", "5", "5", "0.028"],
+            ["frustum", "-1", "0", "9", "5", "5", "0.028"],
+            ["frustum", "1.5", "0", "9", "5", "5", "0.028"],
         ],
         ids=[
             "twoqubit_nan_a", "twoqubit_inf_delta", "twoqubit_huge_delta", "qudit_nan_p",
             "qudit_nan_amplitude", "frustum_inf_n", "frustum_fractional_n", "file_object",
             "file_nested", "file_bool", "file_string", "file_nan", "file_huge_int",
+            "qudit_negative_delta", "qudit_p_above_one", "qudit_huge_delta",
+            "frustum_p_above_one_negative_delta", "frustum_negative_p", "frustum_p_above_one",
         ],
     )
     def test_rejects_bad_numbers(self, capsys, tmp_path, params):
@@ -514,9 +537,25 @@ class TestThresholdCommand:
                 path.write_text(json.dumps(param))
                 param = str(path)
             argv.append(param)
-        code, out = run(capsys, "threshold", *argv)
+        code = main(["threshold", *argv])
+        out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["qudit", "3", "1,1,1", "0", "0"],
+            ["frustum", "0", "0", "9", "5", "5", "0.028"],
+            ["frustum", "0.5", "0", "1e308", "1e300", "5", "0.028"],  # m past int64
+        ],
+        ids=["qudit_zero_p", "frustum_zero_p", "frustum_huge_m"],
+    )
+    def test_valid_edges_detect_nothing(self, capsys, params):
+        code, doc = run_json(capsys, "threshold", *params)
+        assert code == 0
+        assert doc["outputs"]["detected"] is False
 
 
 class TestOutputModes:

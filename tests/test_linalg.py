@@ -13,6 +13,7 @@ from witgeo.linalg import (
 )
 
 from hermitian import hermitian_eigen
+from product_projection import product_matrix
 from random_states import random_density
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -190,7 +191,7 @@ class TestProductProjection:
 
     def test_matrix(self):
         p = ProductProjection((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-        m = p.matrix()
+        m = product_matrix(p)
         assert m[1, 1] == pytest.approx(1.0)
         assert np.trace(m) == pytest.approx(1.0)
 

@@ -194,7 +194,7 @@ class TestThreeQubit:
         dec = three_qubit_decomposition(0.1)
         patterns = [(1, 1, 1, +1), (2, 2, 1, -1), (2, 1, 2, -1), (1, 2, 2, +1)]
         for (sw, setting), pattern in zip(dec.settings, patterns):
-            want, _ = pauli_parity_state(*pattern)
+            want = pauli_parity_state(*pattern)
             assert np.abs(setting.weighted_sum() - want).max() <= 1e-12
             assert sw == pytest.approx(-0.2)
 

@@ -20,6 +20,7 @@ from product_bound import (
     product_bound_objective,
     product_from_angles,
 )
+from product_projection import product_matrix
 import seesaw_reference
 
 
@@ -87,7 +88,7 @@ class TestMinOverProducts:
     def test_argmin_attains_value(self):
         w = standard_witness(2)
         res = min_over_products(w.matrix, (2, 2), SeeSawConfig(restarts=8, seed=7))
-        direct = np.trace(w.matrix @ res.argmin.matrix()).real
+        direct = np.trace(w.matrix @ product_matrix(res.argmin)).real
         assert direct == pytest.approx(res.value, abs=1e-12)
 
     def test_nine_parties(self):
@@ -180,7 +181,7 @@ class TestProductBound:
             thetas = rng.uniform(0, np.pi / 2, size=3)
             phis = rng.uniform(-np.pi, np.pi, size=3)
             pi = product_from_angles(thetas, phis)
-            lhs = 2 * np.trace(wn @ pi.matrix()).real
+            lhs = 2 * np.trace(wn @ product_matrix(pi)).real
             rhs = 2 - product_bound_objective(thetas, phis)
             assert abs(lhs - rhs) <= 1e-10
 

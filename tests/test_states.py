@@ -6,6 +6,7 @@ import pytest
 from witgeo.linalg import hs_inner, partial_transpose, tensor
 from witgeo.states import (
     PAULI_X,
+    PAULI_Y,
     closest_separable,
     completely_random,
     ghz,
@@ -154,22 +155,41 @@ class TestGhzFamily:
         assert np.abs(ghz_segment_state(2).mat - closest_separable(2).mat).max() <= 1e-15
 
 
+def _pauli_eigvec(pauli, sign):
+    """The eigenvector of a Pauli matrix with eigenvalue sign, from eigh."""
+    w, v = np.linalg.eigh(pauli)
+    return v[:, int(np.argmax(w)) if sign > 0 else int(np.argmin(w))]
+
+
 class TestPauliParityState:
-    def test_average_reproduces_matrix(self):
-        mat, products = pauli_parity_state(1, 1, 1, +1)
-        want = (np.eye(8) + tensor(PAULI_X, PAULI_X, PAULI_X)) / 8
+    # the four patterns of the three-qubit family and its decomposition
+    @pytest.mark.parametrize("j,k,l,sign", [(1, 1, 1, +1), (2, 2, 1, -1), (2, 1, 2, -1), (1, 2, 2, +1)])
+    def test_average_reproduces_matrix(self, j, k, l, sign):
+        # the product expansion: an equal mixture of the products of sigma
+        # eigenvectors with eigenvalues s1, s2 and sign*s1*s2
+        paulis = {1: PAULI_X, 2: PAULI_Y}
+        mat = pauli_parity_state(j, k, l, sign)
+        want = (np.eye(8) + sign * tensor(paulis[j], paulis[k], paulis[l])) / 8
         assert np.abs(mat - want).max() <= 1e-14
-        avg = sum(w * p.matrix() for w, p in products)
+        avg = np.zeros((8, 8), dtype=complex)
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                v = tensor(
+                    _pauli_eigvec(paulis[j], s1),
+                    _pauli_eigvec(paulis[k], s2),
+                    _pauli_eigvec(paulis[l], sign * s1 * s2),
+                )
+                avg += np.outer(v, v.conj()) / 4
         assert np.abs(avg - mat).max() <= 1e-12
 
     def test_trace_one(self):
         for sign in (1, -1):
-            mat, _ = pauli_parity_state(2, 1, 2, sign)
+            mat = pauli_parity_state(2, 1, 2, sign)
             assert np.trace(mat).real == pytest.approx(1.0)
 
     def test_pair_averages_to_random_state(self):
-        plus, _ = pauli_parity_state(1, 1, 1, +1)
-        minus, _ = pauli_parity_state(1, 1, 1, -1)
+        plus = pauli_parity_state(1, 1, 1, +1)
+        minus = pauli_parity_state(1, 1, 1, -1)
         assert np.abs((plus + minus) / 2 - np.eye(8) / 8).max() <= 1e-15
 
     def test_invalid_index(self):
@@ -188,16 +208,16 @@ class TestThreeQubitFamily:
     def test_zero_parameters_match_parity_mixture(self):
         # at c = d = 0 the family is the midpoint of two parity states
         st = three_qubit_family(0.0, 0.0)
-        plus, _ = pauli_parity_state(1, 1, 1, +1)
-        minus, _ = pauli_parity_state(2, 2, 1, -1)
+        plus = pauli_parity_state(1, 1, 1, +1)
+        minus = pauli_parity_state(2, 2, 1, -1)
         assert np.abs(st.mat - (plus + minus) / 2).max() <= 1e-14
 
     def test_equal_parameters_separable(self):
         # t = 0 members are explicit convex combinations of parity states
         for c in (0.125, 0.05, -0.1):
             st = three_qubit_family_mt(c, 0.0)
-            plus, _ = pauli_parity_state(1, 1, 1, +1)
-            minus, _ = pauli_parity_state(2, 2, 1, -1)
+            plus = pauli_parity_state(1, 1, 1, +1)
+            minus = pauli_parity_state(2, 2, 1, -1)
             mix = (0.5 + 4 * c) * plus + (0.5 - 4 * c) * minus
             assert np.abs(st.mat - mix).max() <= 1e-14
 
@@ -227,10 +247,10 @@ class TestThreeQubitSeparableCandidates:
         # independent route: normalized mixture of the four parity states
         t = 0.125
         cands = three_qubit_separable_candidates(0.0, t)
-        p111, _ = pauli_parity_state(1, 1, 1, +1)
-        m221, _ = pauli_parity_state(2, 2, 1, -1)
-        m212, _ = pauli_parity_state(2, 1, 2, -1)
-        p122, _ = pauli_parity_state(1, 2, 2, +1)
+        p111 = pauli_parity_state(1, 1, 1, +1)
+        m221 = pauli_parity_state(2, 2, 1, -1)
+        m212 = pauli_parity_state(2, 1, 2, -1)
+        p122 = pauli_parity_state(1, 2, 2, +1)
         want = (0.5 * (p111 + m221) + 4 * t * (m212 + p122)) / (1 + 8 * t)
         assert np.abs(cands.segment.mat - want).max() <= 1e-14
 

@@ -16,6 +16,7 @@ from witgeo.upb import (
 from witgeo.witness import evaluate
 
 from paper_states import reweighted_bound_entangled
+from product_projection import product_matrix
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +115,7 @@ class TestEpsilonEstimate:
 
     def test_argmin_attains(self, tiles_upb, eps_estimate):
         mu = uniform_mixture(tiles_upb)
-        val = np.trace(mu.mat @ eps_estimate.argmin.matrix()).real
+        val = np.trace(mu.mat @ product_matrix(eps_estimate.argmin)).real
         assert val == pytest.approx(eps_estimate.epsilon / 5, abs=1e-12)
 
     def test_extendible_family_rejected(self):
@@ -142,7 +143,7 @@ class TestFarFaceWitness:
 
     def test_vanishes_on_argmin(self, tiles_upb, eps_estimate):
         w = far_face_witness(tiles_upb, eps_estimate.epsilon)
-        val = np.trace(w.matrix @ eps_estimate.argmin.matrix()).real
+        val = np.trace(w.matrix @ product_matrix(eps_estimate.argmin)).real
         assert abs(val) <= 1e-8
 
     def test_positive_on_sampled_products(self, tiles_upb, eps_estimate):
