@@ -12,8 +12,10 @@ outcome probabilities.  A witness decomposition is
 
 so the witness expectation is assembled from locally measurable data
 plus a constant.  Outcome weights are stored densely, one entry per
-joint outcome (at most 7^2 or 2^4 entries here), which keeps the
-correlated and anti-correlated patterns uniform.
+joint outcome (N entries), which keeps the correlated and
+anti-correlated patterns uniform.  M_s and the outcome probabilities
+are contracted one party at a time, O(d N^2) per setting; the N x N
+Kronecker product of the party bases is never formed.
 
 Builders cover the two-qubit witness (3 settings), the d x d witness
 for odd prime d (d+1 settings from the spin projection families), the
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState, tensor
+from .linalg import DensityState
 from .spin import is_prime, projection_family
 from .states import (
     closest_separable,
@@ -83,21 +85,26 @@ class MeasurementSetting:
     def dims(self) -> tuple[int, ...]:
         return tuple(u.shape[0] for u in self.party_bases)
 
-    def joint_isometry(self) -> np.ndarray:
-        """Kron of the party bases; column o is the joint outcome vector."""
-        return tensor(*self.party_bases)
-
     def weighted_sum(self) -> np.ndarray:
         """M = sum_o weights[o] * |o><o| in the joint measurement basis."""
-        a = self.joint_isometry()
-        return (a * self.weights.ravel()) @ a.conj().T
+        out = self.weights.reshape(-1, 1, 1)  # (outcomes of earlier parties, rows, cols)
+        for u in reversed(self.party_bases):  # (P*d, R, R) -> (P, d*R, d*R), last party first
+            d, (p, r, _) = u.shape[0], out.shape
+            y = out.reshape(p // d, d, r, 1, r) * u.conj().T.reshape(d, 1, d, 1)
+            out = (u @ y.reshape(p // d, d, -1)).reshape(p // d, d * r, d * r)
+        return out.reshape(out.shape[1:])
 
     def joint_probabilities(self, rho: DensityState) -> np.ndarray:
         """Exact outcome distribution Tr[(tensor of projectors) rho]."""
         if rho.dims != self.dims:
             raise ValueError(f"state shape {rho.dims} != setting shape {self.dims}")
-        a = self.joint_isometry()
-        return (a.conj() * (rho.mat @ a)).sum(axis=0).real.reshape(self.dims)
+        out = rho.mat.reshape(1, *rho.mat.shape)  # (outcomes of earlier parties, rows, cols)
+        for u in self.party_bases:  # (P, d*R, d*R) -> (P*d, R, R): rows meet U^dagger, columns U
+            d, (p, n, _) = u.shape[0], out.shape
+            y = (u.conj().T @ out.reshape(p, d, -1)).reshape(p, d, n // d, d, n // d)
+            y *= u.T.reshape(d, 1, d, 1)  # in place: one full-size temporary per party, not two
+            out = y.sum(axis=3).reshape(p * d, n // d, n // d)
+        return out.real.reshape(self.dims)
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,8 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
     """
     if t <= 0:
         raise ValueError("t must be positive; use the mirrored parameters for t < 0")
-    if abs(m) + t / 2 > 0.125 + 1e-12:
-        raise ValueError(f"(m={m}, t={t}) leaves the valid parameter region")
+    if not abs(m) + t <= 0.125 + 1e-12:  # the family's region; implies nearest's |m| + t/2 <= 1/8
+        raise ValueError(f"(m={m}, t={t}) leaves the family's region |m| + t <= 1/8")
     rho = three_qubit_family_mt(m, t)
     nearest = DensityState(
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),

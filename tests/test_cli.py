@@ -103,6 +103,19 @@ class TestWitnessCommand:
         code, _ = run(capsys, "witness", "threeq", "0", "0", "--out", str(tmp_path))
         assert code == 2
 
+    def test_threeq_region_names_m_and_t(self, capsys, tmp_path):
+        # |m| + t/2 <= 1/8 holds here, |m| + t <= 1/8 does not
+        code = main(["witness", "threeq", "0.1", "0.05", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "(m=0.1, t=0.05) leaves the family's region |m| + t <= 1/8" in err
+
+    @pytest.mark.parametrize("m,t", [("0", "0.125"), ("0.0625", "0.0625")])
+    def test_threeq_region_boundary(self, capsys, tmp_path, m, t):
+        code, _ = run(capsys, "witness", "threeq", m, t, "--out", str(tmp_path))
+        assert code == 0
+
     @pytest.mark.parametrize(
         "target,form", [(("qudit", "67"), "67^2"), (("ghz", "13"), "2^13"), (("upb",), "67x67")]
     )

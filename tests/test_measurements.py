@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from witgeo.linalg import DensityState, SystemShape, tensor
@@ -34,6 +36,8 @@ from witgeo.states import (
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 from witgeo.witness import evaluate
 
+import setting_reference
+from random_states import random_density
 from spin_reference import spin_matrix
 
 W2Q = np.zeros((4, 4))
@@ -356,3 +360,37 @@ class TestMeasurementSettingValidation:
             assert p.shape == (3, 3)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert p.min() >= -1e-12
+
+    def test_joint_probabilities_reject_permuted_dims(self):
+        # same N = 6, other local shape: a reshape alone would read rows as the wrong parties
+        setting = MeasurementSetting((np.eye(2), np.eye(3)), np.zeros((2, 3)))
+        rho = DensityState(np.eye(6) / 6, SystemShape((3, 2)))
+        with pytest.raises(ValueError, match="state shape"):
+            setting.joint_probabilities(rho)
+
+
+def _random_basis(d, rng):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2, 2), (5, 5), (2,) * 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_joint_isometry_reference(dims, seed):
+    rng = np.random.default_rng(seed)
+    setting = MeasurementSetting(
+        tuple(_random_basis(d, rng) for d in dims), rng.normal(size=dims)
+    )
+    n = int(np.prod(dims))
+    rho = DensityState(random_density(n, rng), SystemShape(dims))
+
+    m = setting.weighted_sum()
+    assert np.abs(m - setting_reference.weighted_sum(setting)).max() <= 1e-12
+    assert np.abs(m - m.conj().T).max() <= 1e-12
+
+    p = setting.joint_probabilities(rho)
+    assert p.shape == dims
+    assert np.abs(p - setting_reference.joint_probabilities(setting, rho.mat)).max() <= 1e-12
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)

@@ -81,6 +81,18 @@ def test_kron_only_in_tensor():
     assert not found, f"np.kron outside linalg.tensor: {found}"
 
 
+def test_settings_build_no_joint_isometry():
+    # a setting's kernels contract party by party: no Kronecker product of its bases
+    path = Path(witgeo.__file__).parent / "measurements.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "tensor"
+    ]
+    assert not found, f"tensor calls in measurements.py: {found}"
+
+
 # Public names that nothing calls yet: the GHZ segment state tau~0, which
 # ROADMAP item 5 wires into the witness report.
 AWAITING_CALLERS = {"ghz_segment_state"}
