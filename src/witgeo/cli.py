@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as wio
+from .linalg import MAX_SIZE
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
@@ -51,9 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
-
-# Every target is held as dense N x N matrices; ghz 12 (N = 2^12) tops the size ladder.
-MAX_SIZE = 2**12
 
 
 class BadInput(Exception):

@@ -2,43 +2,33 @@
 
 """JSON documents for matrices, witnesses, decompositions and UPB families.
 
-Matrix document: {"dims": [d1, ...], "entries": [[re, im], ...]} with the
-entries row-major over the full N x N matrix, N = prod(dims).  Floats are
-written by round-trip repr, so readers recover the exact doubles.  The
+Matrix document: {"dims": [d1, ...], "index": [k, ...], "entries": [[re, im], ...]}
+stores the nonzero entries of the N x N matrix, N = prod(dims), each at its
+row-major index k = i*N + j, in strictly increasing order.  An entry counts
+as zero only when both its doubles are +0.0, so -0.0 is kept; floats are
+written by round-trip repr, so readers recover the exact matrix.  The
 witness document is a matrix document plus a {"c0", "s0"} metadata block;
 the decomposition document lists the identity coefficient and, per
-setting, the party bases (as matrix documents) and the dense weight
-table; the UPB document stores per-party complex factor lists and is
-only read.
-
-The document builders keep each matrix as an array of [re, im] rows,
-and ``_save`` writes exactly the bytes of ``json.dumps`` of the list
-form.  The program's matrices hold a few distinct values (GHZ objects
-are X-shaped, qudit ones have a few closed-form entries), so the writer
-formats each distinct pair once and joins the text from those.  Small
-tables, and tables whose doubles are mostly distinct, take the plain
-``tolist`` route: there the table would cost more than it saves.
+setting, the party bases (each a dense d x d unitary, stored as
+{"dims": [d], "entries": [[re, im], ...]} over all d*d entries) and the
+dense weight table; the UPB document stores per-party complex factor
+lists and is only read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import DensityState, SystemShape
+from .linalg import MAX_SIZE, DensityState, SystemShape, is_hermitian
 from .measurements import MeasurementSetting, WitnessDecomposition
 from .upb import UpbSet
 from .witness import Witness
-
-
-# Entry tables below this many pairs take the plain route: for them the two
-# sorts of the distinct-pair table cost about what they save.
-_TABLE_MIN = 256
-_ARRAY = "\0array"  # stands in for each array while json encodes the document
 
 
 def _entries(mat: np.ndarray) -> np.ndarray:
@@ -75,56 +65,13 @@ def _number(value) -> float:
 
 def _complex(entries) -> np.ndarray:
     """1-D complex array from a list of [re, im] pairs of JSON numbers."""
-    if set(map(len, entries)) != {2}:  # len() of a null or number raises TypeError
+    if set(map(len, entries)) - {2}:  # len() of a null or number raises TypeError
         raise ValueError("entries are not a list of [re, im] pairs")
     return _floats(list(chain.from_iterable(entries))).view(complex)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values.
-
-    numpy 2.4's np.unique hashes integer input, which takes 20 times as
-    long as this sort on 131072 mostly distinct values.
-    """
-    ordered = np.sort(values, axis=None)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
-def _table_json(arr: np.ndarray) -> str | None:
-    """json.dumps(arr.tolist()) of an [re, im] table, formatting each distinct pair once.
-
-    None for other arrays, small tables and tables whose doubles are mostly
-    distinct: json's own loop over the list is cheaper for those.
-    """
-    if arr.ndim != 2 or len(arr) < _TABLE_MIN:
-        return None
-    # keyed on bit patterns, not values, so that 0.0 and -0.0 stay apart
-    bits = arr.view(np.uint64)
-    halves = _distinct(bits)
-    if 2 * len(halves) > arr.size:
-        return None
-    codes = np.searchsorted(halves, bits)
-    pairs = codes[:, 0] * len(halves) + codes[:, 1]
-    distinct = _distinct(pairs)
-    rows = halves[np.stack(np.divmod(distinct, len(halves)), axis=1)].view(float)
-    texts = np.array([json.dumps(row) for row in rows.tolist()], dtype=object)
-    return "[" + ", ".join(texts[np.searchsorted(distinct, pairs)]) + "]"
-
-
 def _save(path, doc: dict) -> None:
-    texts = []
-
-    def swap(arr: np.ndarray):  # json calls this for each array, in document order
-        text = _table_json(arr)
-        if text is None:
-            return arr.tolist()
-        texts.append(text)
-        return _ARRAY
-
-    # a freshly built document holds no cycle; checking costs a dict update per pair
-    pieces = json.dumps(doc, check_circular=False, default=swap).split(json.dumps(_ARRAY))
-    with open(path, "w") as out:
-        out.writelines(chain(*zip(pieces, texts), pieces[-1:]))
+    Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist))
 
 
 @contextmanager
@@ -139,20 +86,40 @@ def _document(path):
 
 def matrix_doc(mat: np.ndarray, dims) -> dict:
     dims = [int(d) for d in dims]
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     mat = np.asarray(mat)
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-    return {"dims": dims, "entries": _entries(mat)}
+    pairs = _entries(mat)
+    # by bit pattern, so that an entry holding -0.0 is stored
+    index = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    return {"dims": dims, "index": index, "entries": pairs[index]}
 
 
 def matrix_from_doc(doc: dict) -> tuple[np.ndarray, tuple[int, ...]]:
     dims = _dims(doc["dims"])
-    n = int(np.prod(dims))
+    n = math.prod(dims)
+    if n > MAX_SIZE:
+        raise ValueError(f"matrix dimension {n} exceeds {MAX_SIZE}")
+    index = np.array(_typed(doc["index"], {int}, "JSON integers as indices"), dtype=np.int64)
+    values = _complex(doc["entries"])
+    if len(index) != len(values):
+        raise ValueError(f"{len(index)} indices for {len(values)} entries")
+    # one check for repeats and order; numpy would read -1 from the end
+    if len(index) and (index[0] < 0 or index[-1] >= n * n or (np.diff(index) <= 0).any()):
+        raise ValueError(f"indices must increase strictly within [0, {n * n})")
+    flat = np.zeros(n * n, dtype=complex)
+    flat[index] = values
+    return flat.reshape(n, n), dims
+
+
+def _basis_from_doc(doc: dict) -> np.ndarray:
+    """A party basis from its dense document, all d*d entries row-major."""
+    n = math.prod(_dims(doc["dims"]))
     flat = _complex(doc["entries"])
     if len(flat) != n * n:
         raise ValueError(f"expected {n*n} entries, got {len(flat)}")
-    return flat.reshape(n, n), dims
+    return flat.reshape(n, n)
 
 
 def save_matrix(path, mat: np.ndarray, dims) -> None:
@@ -178,6 +145,8 @@ def load_witness_matrix(path) -> tuple[np.ndarray, tuple[int, ...], float, float
     """Matrix, dims and metadata of a stored witness (states are not stored)."""
     with _document(path) as doc:
         mat, dims = matrix_from_doc(doc)
+        if not is_hermitian(mat):
+            raise ValueError("witness matrix is not Hermitian")
         s0 = doc.get("s0")
         return mat, dims, _number(doc["c0"]), None if s0 is None else _number(s0)
 
@@ -189,7 +158,7 @@ def decomposition_doc(dec: WitnessDecomposition) -> dict:
             {
                 "weight": float(sw),
                 "party_bases": [
-                    matrix_doc(u, [u.shape[0]]) for u in setting.party_bases
+                    {"dims": [u.shape[0]], "entries": _entries(u)} for u in setting.party_bases
                 ],
                 "outcome_weights": {
                     "shape": list(setting.weights.shape),
@@ -208,7 +177,7 @@ def load_decomposition(path) -> WitnessDecomposition:
     settings = []
     with _document(path) as doc:
         for s in doc["settings"]:
-            bases = tuple(matrix_from_doc(b)[0] for b in s["party_bases"])
+            bases = tuple(_basis_from_doc(b) for b in s["party_bases"])
             table = s["outcome_weights"]
             w = _floats(table["values"]).reshape(_dims(table["shape"]))
             settings.append((_number(s["weight"]), MeasurementSetting(bases, w)))

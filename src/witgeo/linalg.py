@@ -21,6 +21,9 @@ import numpy as np
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 
+# Every target is held as dense N x N matrices; ghz 12 (N = 2^12) tops the size ladder.
+MAX_SIZE = 2**12
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)

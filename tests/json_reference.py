@@ -1,10 +1,10 @@
-"""The document encoder as the library ran it before: json.dumps of the list form.
+"""The plain document encoding: json.dumps with every array in list form.
 
-``io`` keeps each matrix of a document as an array, formats each
-distinct [re, im] pair of a large entry table once and joins the text
-from those.  This reference turns every array into nested lists and lets
-``json.dumps`` format every float on its own; ``tests/test_io.py``
-requires the written bytes to equal its output.
+``io`` keeps the arrays of a document (matrix index and entries, party
+bases, weight tables) as numpy arrays until it writes them.  This
+reference turns every array into nested lists and lets ``json.dumps``
+format every number on its own; ``tests/test_io.py`` requires the written
+bytes to equal its output, so decomposition files keep this encoding.
 """
 
 import json

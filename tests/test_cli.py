@@ -95,6 +95,14 @@ class TestWitnessCommand:
             assert doc["outputs"][coeff]["value"] > 0
         assert doc["outputs"]["detection_value"]["value"] < -1e-6
 
+    def test_file_size_follows_nonzeros(self, capsys, tmp_path):
+        # ghz 9 has N^2 = 262144 entries, about 9 MB of JSON each when written in full
+        code, _ = run(capsys, "witness", "ghz", "9", "--out", str(tmp_path))
+        assert code == 0
+        sizes = {path.name: path.stat().st_size for path in tmp_path.glob("ghz9_*.json")}
+        assert len(sizes) == 3
+        assert max(sizes.values()) < 64 * 1024, sizes
+
     def test_invalid_dimension(self, capsys, tmp_path):
         code, _ = run(capsys, "witness", "qudit", "4", "--out", str(tmp_path))
         assert code == 2

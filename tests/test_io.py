@@ -48,13 +48,17 @@ def test_matrix_round_trip_exact(tmp_path):
 
 def test_save_matrix_bytes_match_per_entry_encoding(tmp_path):
     # signed zeros, subnormals and extremes: the vectorized encoder writes the
-    # same float reprs as one float() per entry
+    # same float reprs as one float() per entry, and leaves out only +0.0 + 0.0j
     values = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1 / 3, -1.5]
     mat = np.array([complex(x, y) for x, y in zip(values, values[::-1])] * 2).reshape(4, 4)
+    mat[1, 2] = mat[3, 0] = complex(0.0, 0.0)
     path = tmp_path / "m.json"
     wio.save_matrix(path, mat, (2, 2))
-    entries = [[float(z.real), float(z.imag)] for z in mat.ravel()]
-    assert path.read_text() == json.dumps({"dims": [2, 2], "entries": entries})
+    pairs = [[float(z.real), float(z.imag)] for z in mat.ravel()]
+    index = [k for k, pair in enumerate(pairs) if repr(pair) != "[0.0, 0.0]"]
+    assert len(index) == 14
+    entries = [pairs[k] for k in index]
+    assert path.read_text() == json.dumps({"dims": [2, 2], "index": index, "entries": entries})
     back, _ = read_matrix(path)
     assert back.tobytes() == mat.tobytes()
 
@@ -76,10 +80,14 @@ def test_written_files_equal_reference_encoding(tmp_path, argv):
     }
     for kind, doc in expected.items():
         assert (tmp_path / f"{target.name}_{kind}.json").read_text() == reference_text(doc), kind
+    for kind, mat in {"witness": w.matrix, "tau0": w.tau0.mat, "rho0": w.rho0.mat}.items():
+        back, dims = read_matrix(tmp_path / f"{target.name}_{kind}.json")
+        assert dims == w.dims, kind
+        assert back.tobytes() == mat.tobytes(), kind
 
 
-# Signed zeros, the smallest subnormal and the extremes: a table keyed on
-# values rather than bit patterns would merge 0.0 and -0.0.
+# Signed zeros, the smallest subnormal and the extremes: a writer that tested
+# values rather than bit patterns would drop -0.0 as a zero.
 EDGE_DOUBLES = [-0.0, 0.0, 5e-324, 1e308, -1e308]
 
 
@@ -91,80 +99,103 @@ def from_pool(pool, n: int, seed: int) -> np.ndarray:
     return mat
 
 
-def dense_hermitian(n: int) -> np.ndarray:
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a + a.conj().T
-
-
-# matrix and how many distinct-value sorts its route takes
-ROUTES = {
-    "small": (lambda: from_pool(EDGE_DOUBLES, 8, 0), 0),
-    "mostly_distinct": (lambda: dense_hermitian(256), 1),
-    "table": (lambda: from_pool(EDGE_DOUBLES, 32, 1), 2),
-}
-
-
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_each_route_writes_reference_bytes(tmp_path, monkeypatch, route):
-    build, sorts = ROUTES[route]
-    mat = build()
-    calls = []
-    distinct = wio._distinct
-    monkeypatch.setattr(wio, "_distinct", lambda values: calls.append(1) or distinct(values))
-    path = tmp_path / "m.json"
-    wio.save_matrix(path, mat, (len(mat),))
-    assert len(calls) == sorts
-    assert path.read_text() == reference_text(wio.matrix_doc(mat, (len(mat),)))
-    back, _ = read_matrix(path)
-    assert back.tobytes() == mat.tobytes()
-
-
 @pytest.fixture(scope="module")
 def matrix_file(tmp_path_factory):
     return tmp_path_factory.mktemp("round_trip") / "m.json"
 
 
 POOL = [*EDGE_DOUBLES, -5e-324, 2.225073858507201e-308, 1 / 3]
+# mostly +0.0, so that most drawn matrices are sparse, as the program's are
+SPARSE_POOL = [0.0] * 12 + POOL
 
 
-# sizes on both sides of the table's size cut of 256 pairs (n = 16)
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     n=st.sampled_from([1, 4, 15, 16, 24, 40]),
+    pool=st.sampled_from([SPARSE_POOL, SPARSE_POOL, POOL]),
     extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_saved_matrix_matches_reference_and_round_trips(matrix_file, n, extra, seed):
-    mat = from_pool(POOL + extra, n, seed)
+def test_saved_matrix_matches_reference_and_round_trips(matrix_file, n, pool, extra, seed):
+    mat = from_pool(pool + extra, n, seed)
     wio.save_matrix(matrix_file, mat, (n,))
     text = matrix_file.read_text()
     assert text == reference_text(wio.matrix_doc(mat, (n,)))
-    back, dims = wio.matrix_from_doc(json.loads(text))
+    doc = json.loads(text)
+    index = np.array(doc["index"], dtype=np.int64)
+    assert (np.diff(index) > 0).all()
+    # exactly the entries that are not +0.0 in both parts
+    assert len(index) == np.count_nonzero(mat.view(np.uint64).reshape(-1, 2).any(axis=1))
+    back, dims = wio.matrix_from_doc(doc)
     assert dims == (n,)
     assert back.tobytes() == mat.tobytes()
 
 
-ZEROS = [[0.0, 0.0]] * 3
+# matrix and how many of its entries are stored: -0.0 in either part keeps an entry
+ZERO_MATRICES = {
+    "all_zero": (np.zeros((4, 4), dtype=complex), 0),
+    "all_negative_zero": (np.full((4, 4), complex(-0.0, -0.0)), 16),
+    "negative_zero_imaginary": (np.full((4, 4), complex(0.0, -0.0)), 16),
+    "signed_zero_diagonal": (np.diag([-0.0, 0.0, 1.0, -0.0]).astype(complex), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_MATRICES))
+def test_zero_matrices_round_trip_exactly(tmp_path, case):
+    mat, stored = ZERO_MATRICES[case]
+    path = tmp_path / "m.json"
+    wio.save_matrix(path, mat, (2, 2))
+    doc = json.loads(path.read_text())
+    assert len(doc["index"]) == len(doc["entries"]) == stored
+    back, _ = wio.matrix_from_doc(doc)
+    assert back.tobytes() == mat.tobytes()
+
+
+# (dims, index, entries) of a witness document whose only fault is the named
+# one; N = 2 holds indices 0..3
+ONES = [[1.0, 0.0]] * 2
 MALFORMED_ENTRIES = {
-    "string": ([2], [["1", 0.0]] + ZEROS),
-    "null": ([2], [None] + ZEROS),
-    "null_part": ([2], [[1.0, None]] + ZEROS),
-    "bool": ([2], [[True, 0.0]] + ZEROS),
-    "ragged": ([2], [[1.0, 0.0], [0.0]] + ZEROS[:2]),
-    "three_element": ([2], [[1.0, 0.0, 0.0]] * 4),
-    # 6 triples hold the 18 numbers of 9 pairs
-    "three_element_same_total": ([3], [[1.0, 0.0, 0.0]] * 6),
-    "wrong_count": ([2], [[1.0, 0.0]] * 3),
+    "string": ([2], [0, 3], [["1", 0.0], [1.0, 0.0]]),
+    "null": ([2], [0, 3], [None, [1.0, 0.0]]),
+    "null_part": ([2], [0, 3], [[1.0, None], [1.0, 0.0]]),
+    "bool": ([2], [0, 3], [[True, 0.0], [1.0, 0.0]]),
+    "ragged": ([2], [0, 1, 2, 3], [[1.0, 0.0], [0.0], [0.0, 0.0, 0.0], [1.0, 0.0]]),
+    "three_element": ([2], [0, 3], [[1.0, 0.0, 0.0]] * 2),
+    # 2 triples hold the 6 numbers of 3 pairs
+    "three_element_same_total": ([2], [0, 1, 3], [[1.0, 0.0, 0.0]] * 2),
+    "more_entries": ([2], [0, 3], [[1.0, 0.0]] * 3),
+    "more_indices": ([2], [0, 3], [[1.0, 0.0]]),  # numpy would broadcast the one entry
+    "index_string": ([2], [0, "3"], ONES),
+    "index_float": ([2], [0, 3.0], ONES),
+    "index_bool": ([2], [0, True], ONES),
+    "index_null": ([2], [0, None], ONES),
+    "index_past_end": ([2], [0, 4], ONES),
+    "index_minus_one": ([2], [-1, 0], ONES),
+    "index_overflow": ([2], [0, 2**64], ONES),
+    "index_repeated": ([2], [0, 0, 3], [[1.0, 0.0]] * 3),
+    "index_out_of_order": ([2], [3, 0], ONES),
+    "not_hermitian": ([2], [1], [[1.0, 0.0]]),
+    "not_hermitian_diagonal": ([2], [0, 3], [[1.0, 1e-9], [1.0, 0.0]]),
+    "too_large": ([65, 65], [], []),  # N = 4225 > 4096
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
 def test_malformed_entries_rejected_naming_file(tmp_path, case):
     # a witness document whose only fault is in its matrix entries
-    dims, entries = MALFORMED_ENTRIES[case]
+    dims, index, entries = MALFORMED_ENTRIES[case]
     path = tmp_path / f"{case}.json"
-    path.write_text(json.dumps({"dims": dims, "entries": entries, "c0": 0.0, "s0": None}))
+    doc = {"dims": dims, "index": index, "entries": entries, "c0": 0.0, "s0": None}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wio.load_witness_matrix(path)
+
+
+def test_dense_form_rejected_naming_file(tmp_path):
+    # the form with every entry and no index, as earlier versions wrote it
+    path = tmp_path / "w.json"
+    doc = {"dims": [2], "entries": [[1.0, 0.0]] * 4, "c0": 0.0, "s0": None}
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_witness_matrix(path)
 
@@ -182,7 +213,7 @@ def write_with(path, doc: dict, token: str) -> None:
 def test_matrix_rejects_non_finite_entry(tmp_path, token):
     path = tmp_path / "w.json"
     doc = saved_doc(path, wio.save_witness, bell2_witness())
-    doc["entries"][5][1] = "MARK"
+    doc["entries"][1][1] = "MARK"
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         wio.load_witness_matrix(path)
@@ -246,8 +277,8 @@ def test_matrix_doc_shape(tmp_path):
     wio.save_matrix(path, np.eye(4), (2, 2))
     doc = json.loads(path.read_text())
     assert doc["dims"] == [2, 2]
-    assert len(doc["entries"]) == 16
-    assert doc["entries"][0] == [1.0, 0.0]
+    assert doc["index"] == [0, 5, 10, 15]
+    assert doc["entries"] == [[1.0, 0.0]] * 4
 
 
 def test_matrix_doc_validates():

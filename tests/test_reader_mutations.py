@@ -1,16 +1,20 @@
-"""Property test: a damaged decomposition document is bad input, never a crash.
+"""Property tests: a damaged stored document is bad input, never a crash.
 
-The mutation family starts from the decomposition document that
-``decompose bell2`` stores and applies exactly one of:
+Each mutation family starts from a document that the program stores for
+``bell2`` and applies exactly one of:
 
 * replace one number with NaN, Infinity, 1e400 (which json reads as
-  infinity), a string, null or an empty list;
+  infinity), a string, null or an empty list, and for the witness also
+  with an integer that is a valid dimension, an index past the end or
+  -1;
 * drop one key of one object;
 * empty one list.
 
-``estimate bell2 --decomposition FILE`` must then exit 0 or 2, never 3.
-On exit 0 stdout must be strict JSON (no NaN or Infinity); on exit 2
-stdout is empty and stderr names the file.
+For the decomposition document, ``estimate bell2 --decomposition FILE``
+must then exit 0 or 2, never 3.  On exit 0 stdout must be strict JSON
+(no NaN or Infinity); on exit 2 stdout is empty and stderr names the
+file.  For the witness document, ``io.load_witness_matrix`` must either
+return or raise ValueError naming the file.
 
 A dimension that is not a JSON integer is bad input even where the
 rest of the document would still read: ``int()`` would parse ``"2"``
@@ -21,16 +25,18 @@ and truncate ``2.5``.  So is a dimension below 1: ``reshape`` reads
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witgeo import io as wio
 from witgeo.cli import main
-from witgeo.measurements import two_qubit_decomposition
+from witgeo.measurements import standard_witness, two_qubit_decomposition
 from witgeo.upb import tiles
 
 from upb_document import upb_doc
@@ -46,28 +52,35 @@ def _walk(node, path=()):
             yield from _walk(child, (*path, key))
 
 
-def _stored_document() -> dict:
-    """The decomposition document of bell2 as the program stores it, as mutable JSON."""
+def _stored_document(save, obj) -> dict:
+    """The document that save writes for obj, as mutable JSON."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "decomposition.json"
-        wio.save_decomposition(path, two_qubit_decomposition())
+        path = Path(tmp) / "document.json"
+        save(path, obj)
         return json.loads(path.read_text())
 
 
-DOC = _stored_document()
+def _mutations(doc: dict, tokens: list[str]):
+    numbers = [p for p, v in _walk(doc) if type(v) in (int, float)]
+    keys = [(*p, k) for p, v in _walk(doc) if isinstance(v, dict) for k in v]
+    lists = [p for p, v in _walk(doc) if isinstance(v, list) and v]
+    return st.one_of(
+        st.tuples(st.just("replace"), st.sampled_from(numbers), st.sampled_from(tokens)),
+        st.tuples(st.just("drop"), st.sampled_from(keys), st.just(None)),
+        st.tuples(st.just("empty"), st.sampled_from(lists), st.just(None)),
+    )
+
+
+DOC = _stored_document(wio.save_decomposition, two_qubit_decomposition())
 NUMBERS = [p for p, v in _walk(DOC) if type(v) in (int, float)]
-KEYS = [(*p, k) for p, v in _walk(DOC) if isinstance(v, dict) for k in v]
-LISTS = [p for p, v in _walk(DOC) if isinstance(v, list) and v]
-
-MUTATIONS = st.one_of(
-    st.tuples(st.just("replace"), st.sampled_from(NUMBERS), st.sampled_from(TOKENS)),
-    st.tuples(st.just("drop"), st.sampled_from(KEYS), st.just(None)),
-    st.tuples(st.just("empty"), st.sampled_from(LISTS), st.just(None)),
-)
+MUTATIONS = _mutations(DOC, TOKENS)
+WITNESS_DOC = _stored_document(wio.save_witness, standard_witness(2))
+# 4 is a valid dimension; 16 is one past the last index of the 4 x 4 matrix
+WITNESS_MUTATIONS = _mutations(WITNESS_DOC, [*TOKENS, "4", "16", "-1"])
 
 
-def mutated_text(kind, path, token) -> str:
-    doc = json.loads(json.dumps(DOC))
+def mutated_text(kind, path, token, source=DOC) -> str:
+    doc = json.loads(json.dumps(source))
     container = doc
     for key in path[:-1]:
         container = container[key]
@@ -97,9 +110,19 @@ def decomposition_file(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations") / "bell2_decomposition.json"
 
 
+@pytest.fixture(scope="module")
+def witness_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "bell2_witness.json"
+
+
 def test_stored_document_is_the_mutated_one(capsys, tmp_path):
     assert main(["decompose", "bell2", "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "bell2_decomposition.json").read_text()) == DOC
+
+
+def test_stored_witness_is_the_mutated_one(capsys, tmp_path):
+    assert main(["witness", "bell2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "bell2_witness.json").read_text()) == WITNESS_DOC
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -114,6 +137,20 @@ def test_damaged_decomposition_is_bad_input_or_valid(decomposition_file, mutatio
     else:
         assert out == ""
         assert str(decomposition_file) in err
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mutation=WITNESS_MUTATIONS)
+def test_damaged_witness_loads_or_is_bad_input(witness_file, mutation):
+    witness_file.write_text(mutated_text(*mutation, source=WITNESS_DOC))
+    try:
+        mat, dims, c0, s0 = wio.load_witness_matrix(witness_file)
+    except ValueError as exc:
+        assert str(witness_file) in str(exc)
+    else:
+        assert mat.shape == (math.prod(dims),) * 2
+        assert np.isfinite(mat).all() and math.isfinite(c0)
+        assert np.abs(mat - mat.conj().T).max() <= 1e-10
 
 
 DIMENSIONS = [p for p in NUMBERS if len(p) > 1 and p[-2] in ("dims", "shape")]

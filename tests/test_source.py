@@ -35,7 +35,7 @@ def test_no_einsum_calls():
 
 
 # The one writer path of io.py: every document is encoded there.
-WRITER = {"_save", "_table_json"}
+WRITER = {"_save"}
 
 
 def test_io_encodes_json_only_in_its_writer():
