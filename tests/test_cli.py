@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from witgeo import cli
 from witgeo import io as wio
+from witgeo import measurements
 from witgeo import states
 from witgeo import witness as witness_module
 from witgeo.cli import main
@@ -430,6 +431,44 @@ def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra)
     monkeypatch.chdir(tmp_path)  # witness and decompose write to the working directory
     assert main(argv) == 0
     assert len(calls) == spectra, calls
+
+
+@pytest.mark.parametrize(
+    "argv,sums",
+    [
+        (["witness", "ghz", "5"], 0),
+        (["estimate", "ghz", "5", "--seed", "1", "--shots", "10"], 0),
+        (["decompose", "ghz", "5"], 6),
+        (["verify", "ghz", "5", "--seed", "1", "--restarts", "4"], 6),
+    ],
+)
+def test_weighted_sums_per_command(capsys, monkeypatch, tmp_path, argv, sums):
+    # one dense weighted sum per setting, in the reconstruction residual; the
+    # corner-state expansion of the equatorial settings is an identity that
+    # tests/test_measurements.py checks
+    calls = []
+    weighted_sum = measurements.MeasurementSetting.weighted_sum
+    monkeypatch.setattr(
+        measurements.MeasurementSetting,
+        "weighted_sum",
+        lambda self: calls.append(self.dims) or weighted_sum(self),
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(calls) == sums, calls
+
+
+def test_ghz_setting_fault_fails(capsys, monkeypatch, tmp_path):
+    # a 1% error in the equatorial angles leaves the witness intact, so only
+    # the reconstruction residual can see it
+    axis_basis = measurements._xy_axis_basis
+    monkeypatch.setattr(measurements, "_xy_axis_basis", lambda phi: axis_basis(1.01 * phi))
+    code, doc = run_json(capsys, "decompose", "ghz", "4", "--out", str(tmp_path))
+    assert code == 3
+    assert doc["outputs"]["reconstruction_residual"]["value"] == pytest.approx(0.023, abs=1e-3)
+    code, doc = run_json(capsys, "verify", "ghz", "4", "--seed", "1", "--restarts", "8")
+    assert code == 1
+    assert doc["failed"] == ["decomposition_reconstruction"]
 
 
 @pytest.mark.parametrize("command", ["witness", "decompose"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from witgeo import measurements
 from witgeo.linalg import DensityState, SystemShape, tensor
 from witgeo.measurements import (
     _PAULI_BASES,
@@ -14,6 +15,8 @@ from witgeo.measurements import (
     complete_basis,
     far_face_decomposition,
     ghz_decomposition,
+    ghz_settings,
+    ghz_witness,
     qudit_decomposition,
     shot_estimate,
     standard_witness,
@@ -225,17 +228,38 @@ class TestGhz:
         assert g.decomposition.residual(g.witness) <= 1e-10
         assert len(g.decomposition.settings) == n + 1
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_mixing_minimizes_distance(self, n):
-        # closed-form vertex against a bounded scalar search on the same quadratic
+        # closed-form vertex against the dense vertex formula and a bounded
+        # scalar search on the same quadratic
+        size = 2**n
+        mixing = ghz_witness(n).mixing
+        assert mixing == (size - 2) ** 2 / (size * size - 2 * size + 4)
         rho0, delta, corner = ghz(n).mat, ghz_dephased(n).mat, ghz_corner_mix(n).mat
+        diff = delta - corner
+        vertex = np.vdot(diff, rho0 - corner).real / np.vdot(diff, diff).real
+        assert mixing == pytest.approx(vertex, abs=1e-15)
 
         def dist2(x):
             gap = rho0 - (x * delta + (1 - x) * corner)
             return float(np.vdot(gap, gap).real)
 
         found = minimize_scalar(dist2, bounds=(0, 1), method="bounded", options={"xatol": 1e-12})
-        assert ghz_decomposition(n).mixing == pytest.approx(found.x, abs=1e-7)
+        assert mixing == pytest.approx(found.x, abs=1e-7)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_equatorial_settings_reproduce_corner(self, n):
+        # the identity behind the n equatorial settings; the commands check
+        # the settings only through the reconstruction residual
+        equatorial = ghz_settings(ghz_witness(n)).settings[1:]
+        mean = sum(setting.weighted_sum() for _, setting in equatorial) / n
+        assert np.abs(mean - ghz_corner_mix(n).mat).max() <= 1e-12
+
+    def test_setting_fault_fails(self, monkeypatch):
+        axis_basis = measurements._xy_axis_basis
+        monkeypatch.setattr(measurements, "_xy_axis_basis", lambda phi: axis_basis(1.01 * phi))
+        with pytest.raises(AssertionError, match="reconstruct"):
+            ghz_decomposition(4)
 
     def test_setting_invariants(self):
         for n in (2, 3):

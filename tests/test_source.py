@@ -94,7 +94,7 @@ def test_settings_build_no_joint_isometry():
 
 
 # Public names that nothing calls yet: the GHZ segment state tau~0, which
-# ROADMAP item 5 wires into the witness report.
+# ROADMAP item 7 wires into the witness report.
 AWAITING_CALLERS = {"ghz_segment_state"}
 
 
