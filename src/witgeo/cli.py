@@ -278,6 +278,14 @@ def cmd_estimate(args) -> tuple:
             raise BadInput(f"decomposition shape {dec.dims} does not match target {w.dims}")
     est = shot_estimate(dec, state, args.shots, args.seed)
     exact = evaluate(w, state)
+    # a gap means the settings measure another observable; on d0 any basis gives
+    # uniform outcomes, so a wrong basis passes there and d0's estimate is still right
+    gap = abs(est.expectation - exact)
+    if not gap <= 1e-10:  # also catches NaN
+        text = f"settings give {est.expectation!r}, the witness {exact!r} (gap {gap:.3e})"
+        if args.decomposition is None:
+            raise AssertionError(f"decomposition does not measure the witness: {text}")
+        raise BadInput(f"decomposition {args.decomposition} measures another target: {text}")
     z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
     body = {
         "target": target.name,

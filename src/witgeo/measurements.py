@@ -18,7 +18,7 @@ are contracted one party at a time, O(d N^2) per setting; the N x N
 Kronecker product of the party bases is never formed.
 
 Builders cover the two-qubit witness (3 settings), the d x d witness
-for odd prime d (d+1 settings from the spin projection families), the
+for odd prime d (d+1 settings in the closed-form spin eigenbases), the
 three-qubit bound entangled family (4 settings), the n-qubit GHZ
 witness, and the far-face witness of an unextendible product basis (m
 single-outcome settings).
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .linalg import DensityState
-from .spin import is_prime, projection_family
+from .spin import eigenbasis
 from .states import (
     closest_separable,
     ghz,
@@ -170,9 +170,9 @@ def two_qubit_decomposition() -> WitnessDecomposition:
 def qudit_decomposition(d: int) -> WitnessDecomposition:
     """(d+1)-setting form of the d x d witness for prime d.
 
-    One setting pairs the spectral families of the two pure shift
-    operators with indices (1,0) and (d-1,0); the remaining d settings
-    pair the families of (j,1) with (d-j,1).  In every setting the weight
+    One setting pairs the eigenbases (spin.eigenbasis) of the two pure
+    phase operators with indices (1,0) and (d-1,0); the remaining d
+    settings pair those of (j,1) with (d-j,1).  In every setting the weight
     sits on the anti-correlated outcomes (r, d-r) with value 1/d, making
     each setting's weighted sum a separable density; the closest
     separable state is their equal mixture and
@@ -183,22 +183,11 @@ def qudit_decomposition(d: int) -> WitnessDecomposition:
     """
     if d == 2:
         return two_qubit_decomposition()
-    if not is_prime(d):
-        raise ValueError(f"dimension must be prime, got {d}")
-
+    # eigenbasis rejects a composite d
     index_pairs = [((1, 0), (d - 1, 0))] + [((j, 1), ((d - j) % d, 1)) for j in range(d)]
-    weights = np.zeros((d, d))
-    for r in range(d):
-        weights[r, (d - r) % d] = 1.0 / d
-
-    # basis column r is the top eigenvector of the rank-1 P_u(r); every (j, 1)
-    # family serves two settings, so each family is built once
-    bases = {
-        u: np.ascontiguousarray(np.linalg.eigh(projection_family(d, *u))[1][:, :, -1].T)
-        for u in {u for pair in index_pairs for u in pair}
-    }
+    weights = np.eye(d)[:, -np.arange(d) % d] / d  # 1/d at (r, -r mod d)
     settings = [
-        (-d / (d + 1), MeasurementSetting((bases[u], bases[v]), weights))
+        (-d / (d + 1), MeasurementSetting((eigenbasis(d, *u), eigenbasis(d, *v)), weights))
         for u, v in index_pairs
     ]
     return WitnessDecomposition(2.0 / (1 + d), tuple(settings))
@@ -354,6 +343,7 @@ class ShotEstimate(NamedTuple):
     estimate: float
     stderr: float
     shots_per_setting: int
+    expectation: float      # identity_coeff + sum_s sw_s * (p_s . w_s): the shot-free value
 
 
 def shot_estimate(
@@ -369,11 +359,12 @@ def shot_estimate(
     results are bit-reproducible and independent of evaluation order.
     The estimator is unbiased with standard error assembled from
     per-setting sample variances.  Time and memory per setting grow with
-    the number of outcomes, not with the number of shots.
+    the number of outcomes, not with the number of shots.  The exact
+    value of the settings, ``expectation``, is Tr(W rho) if they measure W.
     """
     if not 1 <= shots_per_setting < 2**63:  # numpy draws int64 counts
         raise ValueError(f"shots per setting must lie in [1, {2**63 - 1}]")
-    estimate = dec.identity_coeff
+    estimate = expectation = dec.identity_coeff
     variance = 0.0
     for idx, (sw, setting) in enumerate(dec.settings):
         probs = setting.joint_probabilities(rho).ravel()
@@ -382,10 +373,11 @@ def shot_estimate(
             raise ValueError(
                 f"setting {idx} outcome probabilities sum to {total}, not 1"
             )
+        w = setting.weights.ravel()
+        expectation += sw * float(probs @ w)
         probs = np.clip(probs, 0.0, None)
         rng = np.random.default_rng([seed, idx])
         counts = rng.multinomial(shots_per_setting, probs / probs.sum())
-        w = setting.weights.ravel()
         mean = float(counts @ w) / shots_per_setting
         seen = w[counts > 0]
         # a constant sample has variance exactly 0; the sum would leave rounding
@@ -395,7 +387,7 @@ def shot_estimate(
             var = float(counts @ (w - mean) ** 2) / (shots_per_setting - 1)
         estimate += sw * mean
         variance += sw * sw * var / shots_per_setting
-    return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting)
+    return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting, expectation)
 
 
 # ----------------------------------------------------------------------------
@@ -404,7 +396,8 @@ def shot_estimate(
 
 def standard_witness(d: int) -> Witness:
     """Witness for the d x d maximally entangled state via its closed-form tau0."""
-    return nearest_witness(max_entangled(d), closest_separable(d))
+    rho0 = max_entangled(d)
+    return nearest_witness(rho0, closest_separable(rho0))
 
 
 def three_qubit_witness(m: float, t: float) -> Witness:

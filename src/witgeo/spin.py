@@ -29,42 +29,38 @@ def eta_power(d: int, exponent: int) -> complex:
     return np.exp(2j * np.pi * (int(exponent) % d) / d)
 
 
-def projection_family(d: int, j: int, k: int) -> np.ndarray:
-    """Spectral projections of S_(j,k) as a (d, d, d) stack; entry r is P_u(r).
+def eigenbasis(d: int, j: int, k: int) -> np.ndarray:
+    """Eigenvectors of S_(j,k) as the columns of a d x d unitary.
 
-        P_u(r) = (1/d) sum_m eta^(m*r) eta^(j*k*m*(m-1)/2) S_(m*u),
-
-    a complete orthogonal family of rank-1 projections for u != (0,0) and
-    prime d.  For d = 2 the odd-odd index (the sigma_y eigenprojections)
-    is rejected; the measurement layer builds that basis from the Pauli
-    matrices directly.
-
-    The sum over m runs in order, one array update per term for all d
-    outcomes; the phases are the scalar eta_power values, so each member
-    equals the term-by-term sum of S_(m*u) matrices bit for bit.
+    Column r has eigenvalue eta^(-r), so its projector is the paper's
+    P_u(r) = (1/d) sum_m eta^(m*r + j*k*m*(m-1)/2) S_(m*u): for k != 0 it
+    holds eta^(-(r*m + j*k*m*(m-1)/2)) / sqrt(d) at row m*k, for k = 0 it is
+    the unit vector at row -r/j mod d (the mutually unbiased bases of
+    Wootters and Fields).  It needs u != (0,0) and prime d (for composite d
+    the generator can have order < d and its eigenvalues repeat); at d = 2
+    it rejects the odd-odd index (sigma_y), whose basis the measurement
+    layer takes from the Pauli matrices.
     """
+    if not is_prime(d):
+        raise ValueError(f"eigenbasis needs a prime dimension, got {d}")
     j %= d
     k %= d
     if j == 0 and k == 0:
-        raise ValueError("projection family is undefined for the identity index")
-    if not is_prime(d):
-        # for composite d the generator can have order < d and the family
-        # degenerates (members of trace 0 appear)
-        raise ValueError(f"projection family needs a prime dimension, got {d}")
-    if d % 2 == 0 and (j * k) % 2 == 1:
-        raise ValueError(
-            f"unsupported index (j={j}, k={k}) for even dimension d={d}"
-        )
-    # a vectorized exp would differ from eta_power in the last bit at d >= 11
+        raise ValueError("eigenbasis is undefined for the identity index")
+    if d == 2 and j == k == 1:
+        raise ValueError(f"unsupported index (j={j}, k={k}) for even dimension d={d}")
+    r = np.arange(d)
+    basis = np.zeros((d, d), dtype=complex)
+    if k == 0:
+        basis[-r * pow(j, -1, d) % d, r] = 1.0
+        return basis
+    # m*(m-1) is even, so the halved exponent is an exact integer; the
+    # phases are the scalar eta_power values, indexed by the reduced exponent
     phase = np.array([eta_power(d, e) for e in range(d)])
-    rows = np.arange(d)
-    family = np.zeros((d, d, d), dtype=complex)
-    for m in range(d):
-        # m*(m-1) is even, so the halved exponent is an exact integer; axis 0 is r
-        coeff = phase[(m * rows[:, None] + j * k * (m * (m - 1) // 2)) % d]
-        # S_(m*j, m*k) holds eta^(m*j*row) at (row, row + m*k)
-        family[:, rows, (rows + m * k) % d] += coeff * phase[(m * j % d) * rows % d]
-    return family / d
+    m = r[:, None]
+    exponent = -(m * r + (j * k % d) * (m * (m - 1) // 2 % d)) % d
+    basis[m * k % d, r] = phase[exponent] / np.sqrt(d)
+    return basis
 
 
 def is_prime(d: int) -> bool:

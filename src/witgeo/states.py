@@ -53,14 +53,15 @@ def max_entangled(d: int) -> DensityState:
     return schmidt_state(np.full(d, 1.0 / np.sqrt(d)))
 
 
-def closest_separable(d: int) -> DensityState:
-    """Closest separable state to the maximally entangled state rho0.
+def closest_separable(rho0: DensityState) -> DensityState:
+    """Closest separable state to the maximally entangled state rho0 = max_entangled(d).
 
     The closed form is the convex combination d/(d+1) * I/N + 1/(d+1) * rho0,
     which also lies on the segment from I/N to rho0 (so the nearest
     separable state and the last separable segment point coincide here).
+    It takes rho0, which the witness needs too, so that rho0 is built once.
     """
-    rho0 = max_entangled(d)
+    d = rho0.dims[0]
     mat = d / (d + 1) * (np.eye(d * d, dtype=complex) / (d * d)) + 1 / (d + 1) * rho0.mat
     return DensityState(mat, rho0.shape)
 

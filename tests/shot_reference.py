@@ -25,7 +25,7 @@ def shot_estimate(dec, rho, shots_per_setting: int, seed: int) -> ShotEstimate:
     """
     if shots_per_setting < 1:
         raise ValueError("need at least one shot per setting")
-    estimate = dec.identity_coeff
+    estimate = expectation = dec.identity_coeff
     variance = 0.0
     for idx, (sw, setting) in enumerate(dec.settings):
         probs = setting.joint_probabilities(rho).ravel()
@@ -34,6 +34,7 @@ def shot_estimate(dec, rho, shots_per_setting: int, seed: int) -> ShotEstimate:
             raise ValueError(
                 f"setting {idx} outcome probabilities sum to {total}, not 1"
             )
+        expectation += sw * float(probs @ setting.weights.ravel())
         probs = np.clip(probs, 0.0, None)
         cdf = np.cumsum(probs / probs.sum())
         cdf[-1] = 1.0  # guard the top bin against cumsum rounding
@@ -45,4 +46,4 @@ def shot_estimate(dec, rho, shots_per_setting: int, seed: int) -> ShotEstimate:
         var = float(values.var(ddof=1)) if values.min() != values.max() else 0.0
         estimate += sw * mean
         variance += sw * sw * var / shots_per_setting
-    return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting)
+    return ShotEstimate(estimate, float(np.sqrt(variance)), shots_per_setting, expectation)

@@ -28,7 +28,6 @@ from witgeo.measurements import (
     two_qubit_decomposition,
 )
 from witgeo.oracle import SeeSawConfig, min_over_products, ppt_report
-from witgeo.spin import projection_family
 from witgeo.states import (
     closest_separable,
     completely_random,
@@ -54,7 +53,7 @@ from paper_states import noise_ball
 from product_bound import bell_bound_three_qubit, product_bound_objective, product_from_angles
 from product_projection import product_matrix
 from random_states import random_density
-from spin_reference import spin_matrix, spin_relations
+from spin_reference import projection_family, spin_matrix, spin_relations
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3
@@ -96,10 +95,10 @@ def test_criterion_02_two_qubit_decomposition():
     dec = two_qubit_decomposition()
     crit.check("setting count", len(dec.settings) == 3, f"{len(dec.settings)} settings")
     tau = sum(s.weighted_sum() for _, s in dec.settings) / 3
-    dev = np.abs(tau - closest_separable(2).mat).max()
+    dev = np.abs(tau - closest_separable(max_entangled(2)).mat).max()
     crit.check("reassembled separable state", dev <= 1e-12, f"max deviation {dev:.3e}")
     w = standard_witness(2)
-    tau0 = closest_separable(2)
+    tau0 = closest_separable(max_entangled(2))
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
@@ -129,7 +128,7 @@ def test_criterion_03_qudit_case():
                     spin_matrix(d, (k * j) % d, k), spin_matrix(d, (k * d - k * j) % d, k)
                 )
         via_spin /= d * d * (d + 1)
-        dev = np.abs(via_spin - closest_separable(d).mat).max()
+        dev = np.abs(via_spin - closest_separable(max_entangled(d)).mat).max()
         crit.check(f"spin expansion d={d}", dev <= 1e-10, f"max deviation {dev:.3e}")
 
         dec = qudit_decomposition(d)

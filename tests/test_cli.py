@@ -319,6 +319,18 @@ class TestEstimateCommand:
         assert code == 0
         assert doc["outputs"]["estimate"]["value"] == pytest.approx(-1 / 3, abs=1e-12)
 
+    def test_rejects_decomposition_of_another_witness(self, capsys, tmp_path):
+        # same shape, other parameter: the stored settings measure W(t = 1/16)
+        run_json(capsys, "decompose", "threeq", "0", "0.0625", "--out", str(tmp_path))
+        path = tmp_path / "threeq_m0.0_t0.0625_decomposition.json"
+        argv = ["estimate", "threeq", "0", "0.125", "--decomposition", str(path), "--seed", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+
     def test_rejects_mismatched_decomposition(self, capsys, tmp_path):
         run_json(capsys, "decompose", "qudit", "3", "--out", str(tmp_path))
         code, _ = run(
@@ -460,7 +472,8 @@ def test_weighted_sums_per_command(capsys, monkeypatch, tmp_path, argv, sums):
 
 def test_ghz_setting_fault_fails(capsys, monkeypatch, tmp_path):
     # a 1% error in the equatorial angles leaves the witness intact, so only
-    # the reconstruction residual can see it
+    # the settings' own checks can see it: the reconstruction residual, and
+    # the exact value of the settings on the estimated state
     axis_basis = measurements._xy_axis_basis
     monkeypatch.setattr(measurements, "_xy_axis_basis", lambda phi: axis_basis(1.01 * phi))
     code, doc = run_json(capsys, "decompose", "ghz", "4", "--out", str(tmp_path))
@@ -469,6 +482,37 @@ def test_ghz_setting_fault_fails(capsys, monkeypatch, tmp_path):
     code, doc = run_json(capsys, "verify", "ghz", "4", "--seed", "1", "--restarts", "8")
     assert code == 1
     assert doc["failed"] == ["decomposition_reconstruction"]
+    code = main(["estimate", "ghz", "4", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "does not measure the witness" in captured.err
+    assert "(gap 8.480e-04)" in captured.err
+    # on I/N every basis gives uniform outcomes: the settings still measure
+    # Tr(W I/N) exactly, so the check passes and the estimate is right
+    code, doc = run_json(capsys, "estimate", "ghz", "4", "--state", "d0", "--seed", "1")
+    assert code == 0
+    assert abs(doc["outputs"]["z_score"]["value"]) <= 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "bell2"],
+        ["witness", "qudit", "5"],
+        ["decompose", "qudit", "5"],
+        ["verify", "qudit", "3", "--seed", "1", "--restarts", "4"],
+        ["estimate", "qudit", "5", "--seed", "1", "--shots", "10"],
+    ],
+)
+def test_max_entangled_built_once(capsys, monkeypatch, tmp_path, argv):
+    # rho0 serves both the witness and its closest separable state
+    built = []
+    schmidt_state = states.schmidt_state
+    monkeypatch.setattr(states, "schmidt_state", lambda a: built.append(a) or schmidt_state(a))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("command", ["witness", "decompose"])

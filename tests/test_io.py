@@ -33,7 +33,7 @@ def saved_doc(path, save, obj) -> dict:
 
 
 def bell2_witness():
-    return segment_witness(max_entangled(2), closest_separable(2), 1 / 3)
+    return segment_witness(max_entangled(2), closest_separable(max_entangled(2)), 1 / 3)
 
 
 def test_matrix_round_trip_exact(tmp_path):
@@ -287,7 +287,7 @@ def test_matrix_doc_validates():
 
 
 def test_state_round_trip(tmp_path):
-    st = closest_separable(3)
+    st = closest_separable(max_entangled(3))
     path = tmp_path / "state.json"
     wio.save_state(path, st)
     mat, dims = read_matrix(path)
@@ -316,7 +316,7 @@ def test_witness_round_trip(tmp_path):
 
 
 def test_witness_without_segment_weight(tmp_path):
-    w = nearest_witness(max_entangled(2), closest_separable(2))
+    w = nearest_witness(max_entangled(2), closest_separable(max_entangled(2)))
     path = tmp_path / "w.json"
     wio.save_witness(path, w)
     _, _, _, s0 = wio.load_witness_matrix(path)

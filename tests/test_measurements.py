@@ -24,7 +24,6 @@ from witgeo.measurements import (
     three_qubit_witness,
     two_qubit_decomposition,
 )
-from witgeo.spin import projection_family
 from witgeo.states import (
     PAULI_X,
     PAULI_Y,
@@ -41,7 +40,7 @@ from witgeo.witness import evaluate
 
 import setting_reference
 from random_states import random_density
-from spin_reference import spin_matrix
+from spin_reference import column_projectors, projection_family, spin_matrix
 
 W2Q = np.zeros((4, 4))
 W2Q[1, 1] = W2Q[2, 2] = 1 / 3
@@ -87,7 +86,7 @@ class TestTwoQubit:
     def test_reassembled_separable_state(self):
         dec = two_qubit_decomposition()
         tau = sum(setting.weighted_sum() for setting in all_settings(dec)) / 3
-        assert np.abs(tau - closest_separable(2).mat).max() <= 1e-12
+        assert np.abs(tau - closest_separable(max_entangled(2)).mat).max() <= 1e-12
 
     def test_reconstruction_matches_witness_matrix(self):
         dec = two_qubit_decomposition()
@@ -122,7 +121,7 @@ class TestQudit:
     def test_qutrit_reassembles_closed_form(self):
         dec = qudit_decomposition(3)
         tau = sum(s.weighted_sum() for s in all_settings(dec)) / 4
-        assert np.abs(tau - closest_separable(3).mat).max() <= 1e-10
+        assert np.abs(tau - closest_separable(max_entangled(3)).mat).max() <= 1e-10
 
     @pytest.mark.parametrize("d", (3, 5))
     def test_per_setting_sum_matches_spin_route(self, d):
@@ -171,17 +170,15 @@ class TestQudit:
             qudit_decomposition(2).matrix() - two_qubit_decomposition().matrix()
         ).max() == 0.0
 
-    def test_eigenbases_diagonalize_generators(self):
-        d = 3
+    @pytest.mark.parametrize("d", (3, 5, 7, 11, 13, 31))
+    def test_eigenbases_diagonalize_generators(self, d):
+        # outcome r of each party is the paper's projection P_u(r)
         dec = qudit_decomposition(d)
         pairs = [((1, 0), (d - 1, 0))] + [((j, 1), ((d - j) % d, 1)) for j in range(d)]
-        for (u, v), (_, setting) in zip(pairs, dec.settings):
-            for party, idx in ((0, u), (1, v)):
-                fam = projection_family(d, *idx)
-                u = setting.party_bases[party]
-                rebuilt = [np.outer(u[:, r], u[:, r].conj()) for r in range(d)]
-                for p, q in zip(fam, rebuilt):
-                    assert np.abs(p - q).max() <= 1e-10
+        for (u, v), (_, setting) in zip(pairs, dec.settings, strict=True):
+            for basis, idx in zip(setting.party_bases, (u, v), strict=True):
+                rebuilt = column_projectors(basis)
+                assert np.abs(rebuilt - projection_family(d, *idx)).max() <= 1e-14
 
 
 class TestThreeQubit:

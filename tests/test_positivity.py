@@ -95,7 +95,7 @@ CASES = {
     "max_entangled": [(d, lambda d: (max_entangled(d), _max_entangled_terms(d)))
                       for d in QUDIT_DIMS],
     "closest_separable": [
-        (d, lambda d: (closest_separable(d),
+        (d, lambda d: (closest_separable(max_entangled(d)),
                        _segment_terms(1 / (d + 1), d * d, _max_entangled_terms(d))))
         for d in QUDIT_DIMS
     ],

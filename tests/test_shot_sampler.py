@@ -141,6 +141,7 @@ def test_within_five_standard_errors(target):
         for shots in (1000, 100_000):
             est = shot_estimate(dec, state, shots, seed=11)
             assert est == shot_estimate(dec, state, shots, seed=11)
+            assert abs(est.expectation - exact) <= 1e-12, (name, est, exact)
             if est.stderr == 0.0:
                 assert abs(est.estimate - exact) <= 1e-12, (name, shots, est, exact)
             else:

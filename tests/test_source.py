@@ -34,6 +34,22 @@ def test_no_einsum_calls():
     assert not found, f"einsum calls in witgeo: {found}"
 
 
+EIGENSOLVERS = {"eig", "eigh", "eigvalsh"}
+
+
+def test_no_eigensolver_in_spin_or_measurements():
+    # the measurement bases have closed forms: no spectrum is taken to find them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("measurements.py", "spin.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in EIGENSOLVERS
+    ]
+    assert not found, f"eigensolver calls in spin.py or measurements.py: {found}"
+
+
 # The one writer path of io.py: every document is encoded there.
 WRITER = {"_save"}
 

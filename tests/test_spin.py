@@ -1,17 +1,25 @@
-"""Spin operator family: definitions, algebraic relations, projection families.
+"""Spin operator family: definitions, algebraic relations, eigenbases.
 
-The operators themselves and their algebra live in ``spin_reference``;
-the library keeps only the projection families built from them.
+The operators themselves, their projection families and their algebra
+live in ``spin_reference``; the library keeps only the closed-form
+eigenbases, checked here against them.
 """
 
 import numpy as np
 import pytest
 
 from witgeo.linalg import hs_inner
-from witgeo.spin import eta_power, is_prime, projection_family
+from witgeo.spin import eigenbasis, eta_power, is_prime
 
 from hermitian import hermitian_eigen
-from spin_reference import spin_expand, spin_matrix, spin_reconstruct, spin_relations
+from spin_reference import (
+    column_projectors,
+    projection_family,
+    spin_expand,
+    spin_matrix,
+    spin_reconstruct,
+    spin_relations,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -157,6 +165,73 @@ class TestProjectionFamily:
             s = spin_matrix(d, j, k)
             for p in projection_family(d, j, k):
                 assert np.abs(s @ p - p @ s).max() <= 1e-10
+
+
+PRIMES = [d for d in range(2, 62) if is_prime(d)]
+
+
+def _measured_indices(d):
+    """The d+1 indices whose eigenbases qudit_decomposition measures."""
+    return [(1, 0), (d - 1, 0)] + [(j, 1) for j in range(d)]
+
+
+def _all_indices(d):
+    """Every index with an eigenbasis: not the identity, not odd-odd at d = 2."""
+    return [
+        (j, k)
+        for j in range(d)
+        for k in range(d)
+        if (j, k) != (0, 0) and not (d == 2 and j * k % 2)
+    ]
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("d", [d for d in PRIMES if d >= 3])
+    def test_measured_projectors_match_reference(self, d):
+        for idx in _measured_indices(d):
+            got = column_projectors(eigenbasis(d, *idx))
+            assert np.abs(got - projection_family(d, *idx)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [d for d in PRIMES if d <= 13])
+    def test_every_index_matches_reference(self, d):
+        for idx in _all_indices(d):
+            basis = eigenbasis(d, *idx)
+            assert basis.shape == (d, d)
+            assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-14
+            assert np.abs(column_projectors(basis) - projection_family(d, *idx)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [d for d in PRIMES if d <= 13])
+    def test_column_r_has_eigenvalue_eta_minus_r(self, d):
+        for idx in _all_indices(d):
+            s, basis = spin_matrix(d, *idx), eigenbasis(d, *idx)
+            for r in range(d):
+                col = basis[:, r]
+                assert np.abs(s @ col - eta_power(d, -r) * col).max() <= 1e-14
+
+    def test_qubit_bases(self):
+        # sigma_z: e_0 for +1, e_1 for -1; sigma_x: (1, +-1)/sqrt 2
+        assert np.array_equal(eigenbasis(2, 1, 0), np.eye(2))
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        assert np.abs(eigenbasis(2, 0, 1) - h).max() <= 1e-16
+
+    def test_index_reduced_modulo_d(self):
+        assert np.array_equal(eigenbasis(5, 7, -4), eigenbasis(5, 2, 1))
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((3, 0, 0), "identity index"),
+            ((5, 5, -5), "identity index"),
+            ((2, 1, 1), "unsupported index"),
+            ((9, 0, 3), "prime dimension"),
+            ((4, 1, 0), "prime dimension"),
+            ((1, 0, 1), "prime dimension"),
+            ((0, 1, 1), "prime dimension"),
+        ],
+    )
+    def test_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            eigenbasis(*args)
 
 
 class TestRelations:

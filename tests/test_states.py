@@ -92,14 +92,14 @@ class TestNoiseBall:
 
 class TestClosestSeparable:
     def test_two_qubit_entries(self):
-        tau = closest_separable(2).mat
+        tau = closest_separable(max_entangled(2)).mat
         assert np.allclose(np.diag(tau).real, [1 / 3, 1 / 6, 1 / 6, 1 / 3], atol=1e-15)
         assert tau[0, 3] == pytest.approx(1 / 6)
 
     def test_overlap_value(self):
         # (d/(d+1)) * 1/d^2 + 1/(d+1) = 1/d
         for d in (2, 3, 5):
-            tau = closest_separable(d)
+            tau = closest_separable(max_entangled(d))
             assert hs_inner(tau.mat, max_entangled(d).mat).real == pytest.approx(
                 1 / d, abs=1e-12
             )
@@ -108,7 +108,7 @@ class TestClosestSeparable:
         for d in (2, 3):
             s0 = 1 / (d + 1)
             seg = (1 - s0) * completely_random((d, d)).mat + s0 * max_entangled(d).mat
-            assert np.abs(closest_separable(d).mat - seg).max() <= 1e-15
+            assert np.abs(closest_separable(max_entangled(d)).mat - seg).max() <= 1e-15
 
 
 class TestGhzFamily:
@@ -152,7 +152,8 @@ class TestGhzFamily:
         assert ghz_segment_weight(3) == pytest.approx(1 / 5)
 
     def test_two_party_segment_matches_closest_separable(self):
-        assert np.abs(ghz_segment_state(2).mat - closest_separable(2).mat).max() <= 1e-15
+        tau = closest_separable(max_entangled(2))
+        assert np.abs(ghz_segment_state(2).mat - tau.mat).max() <= 1e-15
 
 
 def _pauli_eigvec(pauli, sign):

@@ -36,7 +36,7 @@ W2Q[0, 3] = W2Q[3, 0] = -1 / 3
 
 
 def bell_witness():
-    return nearest_witness(max_entangled(2), closest_separable(2))
+    return nearest_witness(max_entangled(2), closest_separable(max_entangled(2)))
 
 
 class TestNearestWitness:
@@ -47,9 +47,9 @@ class TestNearestWitness:
 
     @pytest.mark.parametrize("d", (3, 5, 7))
     def test_qudit_closed_form(self, d):
-        w = nearest_witness(max_entangled(d), closest_separable(d))
+        w = nearest_witness(max_entangled(d), closest_separable(max_entangled(d)))
         assert w.c0 == pytest.approx((d - 1) / (d * (d + 1)), abs=1e-12)
-        want = 2 / (1 + d) * np.eye(d * d) - d * closest_separable(d).mat
+        want = 2 / (1 + d) * np.eye(d * d) - d * closest_separable(max_entangled(d)).mat
         assert np.abs(w.matrix - want).max() <= 1e-12
 
     @pytest.mark.parametrize("t", (1 / 32, 1 / 16, 1 / 8))
@@ -60,7 +60,7 @@ class TestNearestWitness:
         assert w.c0 == pytest.approx(t / 4, abs=1e-12)
 
     def test_degenerate_rejected(self):
-        tau = closest_separable(2)
+        tau = closest_separable(max_entangled(2))
         with pytest.raises(ValueError):
             nearest_witness(tau, tau)
 
@@ -71,16 +71,16 @@ class TestNearestWitness:
 
 class TestSegmentWitness:
     def test_two_qubit_substitution(self):
-        w = segment_witness(max_entangled(2), closest_separable(2), 1 / 3)
+        w = segment_witness(max_entangled(2), closest_separable(max_entangled(2)), 1 / 3)
         assert np.abs(w.matrix - W2Q).max() <= 1e-12
         assert w.s0 == pytest.approx(1 / 3)
         # at s0 = 1/3 the segment point is the closest separable state itself
         tau_tilde = segment_state(max_entangled(2), 1 / 3)
-        assert np.abs(tau_tilde.mat - closest_separable(2).mat).max() <= 1e-15
+        assert np.abs(tau_tilde.mat - closest_separable(max_entangled(2)).mat).max() <= 1e-15
 
     def test_qutrit_substitution(self):
-        w1 = segment_witness(max_entangled(3), closest_separable(3), 1 / 4)
-        w2 = nearest_witness(max_entangled(3), closest_separable(3))
+        w1 = segment_witness(max_entangled(3), closest_separable(max_entangled(3)), 1 / 4)
+        w2 = nearest_witness(max_entangled(3), closest_separable(max_entangled(3)))
         assert np.abs(w1.matrix - w2.matrix).max() <= 1e-12
 
     def test_random_pairs_agree(self):
@@ -95,7 +95,7 @@ class TestSegmentWitness:
 
     def test_s0_range(self):
         with pytest.raises(ValueError):
-            segment_witness(max_entangled(2), closest_separable(2), 1.0)
+            segment_witness(max_entangled(2), closest_separable(max_entangled(2)), 1.0)
 
 
 class TestEvaluate:
@@ -247,7 +247,7 @@ class TestFrustumPredicate:
 class TestWitnessInvariants:
     def test_stored_matrices_are_their_formulas(self):
         # each constructor stores the matrix of its own formula, bit for bit
-        rho, tau = max_entangled(3), closest_separable(3)
+        rho, tau = max_entangled(3), closest_separable(max_entangled(3))
         w = nearest_witness(rho, tau)
         assert np.array_equal(w.matrix, tau.mat + w.c0 * np.eye(9) - rho.mat)
         upb, eps = tiles(), 0.028416
