@@ -4,16 +4,16 @@
 
 Everything operates on plain ``numpy`` complex arrays.  States carry
 their tensor-factor shape so partial transposes and local contractions
-know where the party boundaries are.  All values are treated as
-immutable after construction; arrays stored on the dataclasses are
-marked read-only.  A ``DensityState`` checks its matrix in one O(N^2)
+know where the party boundaries are; ``tensor`` is the one Kronecker
+product, of matrices or of broadcasting stacks of them.  All values are
+treated as immutable after construction; arrays stored on the
+dataclasses are marked read-only.  A ``DensityState`` checks its matrix in one O(N^2)
 pass and takes no spectrum; positivity is shown where a state can lack it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -109,10 +109,20 @@ class ProductProjection:
 
 
 def tensor(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product with party 1 most significant: |jk> -> j*d2 + k."""
-    if not mats:
-        raise ValueError("tensor() needs at least one factor")
-    return reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
+    """Kronecker product with party 1 most significant: |jk> -> j*d2 + k.
+
+    Factors are matrices, or stacks of them whose leading axes broadcast:
+    (m, p, q) and (s, t) give (m, p*s, q*t).  A vector is passed as one
+    column, v[:, None].  Each product is np.kron of its pair, bit for bit.
+    """
+    if not mats or any(np.ndim(m) < 2 for m in mats):
+        raise ValueError("tensor() takes one or more matrices; pass a vector as v[:, None]")
+    out, *rest = [np.asarray(m, dtype=complex) for m in mats]
+    for b in rest:
+        out = out[..., :, None, :, None] * b[..., None, :, None, :]
+        *lead, p, s, q, t = out.shape
+        out = out.reshape(*lead, p * s, q * t)
+    return out
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

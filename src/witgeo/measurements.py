@@ -116,6 +116,8 @@ class WitnessDecomposition:
         object.__setattr__(self, "settings", tuple(self.settings))
         if not self.settings:
             raise ValueError("a decomposition needs at least one setting")
+        if any(s.dims != self.dims for _, s in self.settings[1:]):
+            raise ValueError(f"setting shapes {[s.dims for _, s in self.settings]} differ")
 
     @property
     def dims(self) -> tuple[int, ...]:

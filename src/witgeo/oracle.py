@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .linalg import (
     ProductProjection,
     is_hermitian,
     partial_transpose,
+    tensor,
 )
 
 
@@ -86,12 +86,6 @@ class MinProductsResult:
         )
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of each stacked pair: (m, p, q) and (m, s, t) give (m, p*s, q*t)."""
-    out = a[:, :, None, :, None] * b[:, None, :, None, :]
-    return out.reshape(len(a), a.shape[1] * b.shape[1], -1)
-
-
 def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> MinProductsResult:
     """See-saw minimization of Tr(H pi) over product projections pi.
 
@@ -102,9 +96,9 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     1e-9 raises AssertionError.  Restarts are independent and merged by
     min, keyed by (value, restart index), so the result is deterministic
     under (seed, restarts).  They advance together: each party step
-    builds one Kronecker column stack of restarts x N x d_k complex
-    entries for one batched eigh; a restart leaves once a sweep gains
-    less than _SWEEP_TOL.
+    builds one column stack of restarts x N x d_k complex entries with
+    linalg.tensor, for one batched eigh; a restart leaves once a sweep
+    gains less than _SWEEP_TOL.
     """
     cfg = cfg or SeeSawConfig()
     h = np.asarray(h, dtype=complex)
@@ -122,7 +116,7 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     for _ in range(_MAX_SWEEPS):
         for k, d in enumerate(dims):
             eye = np.broadcast_to(np.eye(d, dtype=complex), (len(live), d, d))
-            cols = reduce(_kron, [eye if i == k else v[live, :, None] for i, v in enumerate(vecs)])
+            cols = tensor(*(eye if i == k else v[live, :, None] for i, v in enumerate(vecs)))
             w, u = np.linalg.eigh(cols.conj().transpose(0, 2, 1) @ h @ cols)
             vecs[k][live] = u[:, :, 0]
         val, prev = w[:, 0], finals[live]  # <pi|H|pi> once the last party is updated

@@ -71,13 +71,6 @@ class UpbSet:
     def m(self) -> int:
         return len(self.vectors)
 
-    def product_vector(self, k: int) -> np.ndarray:
-        return tensor(*self.vectors[k])
-
-    def projector(self, k: int) -> np.ndarray:
-        v = self.product_vector(k)
-        return np.outer(v, v.conj())
-
     def gram(self) -> np.ndarray:
         # the overlap of two product vectors is the product of the party overlaps,
         # so no vector of the full size N is formed
@@ -109,7 +102,8 @@ def tiles() -> UpbSet:
 
 def uniform_mixture(upb: UpbSet) -> DensityState:
     """The separable state mu0 = (1/m) sum_k |phi_k><phi_k| (rank m, purity 1/m)."""
-    mat = sum(upb.projector(k) for k in range(upb.m)) / upb.m
+    parties = [np.array(factors)[:, :, None] for factors in zip(*upb.vectors)]  # each (m, d_k, 1)
+    mat = sum(np.outer(v, v.conj()) for v in tensor(*parties)[:, :, 0]) / upb.m
     return DensityState(mat, upb.shape)
 
 

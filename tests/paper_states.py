@@ -14,6 +14,8 @@ import numpy as np
 
 from witgeo.linalg import DensityState, SystemShape
 
+from upb_reference import member_projector
+
 
 def noise_ball(dims, delta: float, seed: int) -> DensityState:
     """A seeded valid density within Hilbert-Schmidt distance delta of I/N.
@@ -56,7 +58,7 @@ def reweighted_bound_entangled(upb, weights) -> DensityState:
     b = 1.0 / p.max()
     if b >= n:
         raise ValueError(f"b = {b} must stay below N = {n}")
-    mu_b = sum(p[k] * upb.projector(k) for k in range(upb.m))
+    mu_b = sum(p[k] * member_projector(upb, k) for k in range(upb.m))
     mat = (np.eye(n) - b * mu_b) / (n - b)
     low = np.linalg.eigvalsh(mat).min()
     if low < -1e-10:

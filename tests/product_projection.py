@@ -12,5 +12,5 @@ from witgeo.linalg import ProductProjection, tensor
 
 def product_matrix(p: ProductProjection) -> np.ndarray:
     """|v><v| for v the Kronecker product of the factors."""
-    v = tensor(*p.factors)
+    v = tensor(*(f[:, None] for f in p.factors))
     return np.outer(v, v.conj())

@@ -22,6 +22,7 @@ from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
 
 from upb_document import pairs, upb_doc
+from upb_ladder import pyramid, shifts
 
 
 def run(capsys, *argv):
@@ -141,6 +142,39 @@ class TestWitnessCommand:
         assert out == ""
         assert f"N = {form} > 4096" in err
         assert list(tmp_path.glob("*witness*")) == []
+
+
+class TestUpbLadder:
+    # closed-form UPBs beyond tiles, read from files; eps and consensus at --seed 3
+    @pytest.mark.parametrize(
+        "family,eps", [(shifts, 0.0814413464565), (pyramid, 0.0379118140850)]
+    )
+    def test_every_command(self, capsys, tmp_path, family, eps):
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps(upb_doc(family())))
+        target = ("upb", str(path), "--seed", "3")
+        code, doc = run_json(capsys, "witness", *target, "--out", str(tmp_path))
+        assert code == 0
+        assert doc["outputs"]["epsilon"]["value"] == pytest.approx(eps, abs=1e-12)
+        assert doc["outputs"]["consensus"] == "32/32"
+        code, _ = run(capsys, "decompose", *target, "--out", str(tmp_path))
+        assert code == 0
+        code, doc = run_json(capsys, "verify", *target)
+        assert code == 0
+        assert doc["failed"] == []
+        assert abs(doc["checks"]["positive_on_products"]["value"]) <= 1e-12
+        code, _ = run(capsys, "estimate", *target)
+        assert code == 0
+
+    @pytest.mark.parametrize("family", [shifts, pyramid])
+    def test_minus_one_vector_is_extendible(self, capsys, tmp_path, family):
+        doc = upb_doc(family())
+        doc["vectors"].pop()
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps(doc))
+        code = main(["witness", "upb", str(path), "--seed", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert "minimum product overlap is numerically zero" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:

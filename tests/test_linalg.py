@@ -1,7 +1,11 @@
 """Core matrix algebra: tensor products, inner products, partial transposes."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witgeo.linalg import (
     DensityState,
@@ -53,6 +57,37 @@ class TestTensor:
             s, t = rng.normal(size=2)
             lin = tensor(s * a + t * b, c)
             assert np.abs(lin - (s * tensor(a, c) + t * tensor(b, c))).max() <= 1e-12
+
+    def test_vectors_are_one_column_matrices(self):
+        with pytest.raises(ValueError, match="v\\[:, None\\]"):
+            tensor(np.eye(2), np.ones(2))
+        with pytest.raises(ValueError):
+            tensor()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        # per factor: rows, columns (1 is a one-column vector) and whether it is stacked
+        factors=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()), min_size=1, max_size=3
+        ),
+        length=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_match_kron_bit_for_bit(self, factors, length, seed):
+        rng = np.random.default_rng(seed)
+        mats = [
+            rng.normal(size=(length, p, q) if stacked else (p, q))
+            + 1j * rng.normal(size=(length, p, q) if stacked else (p, q))
+            for p, q, stacked in factors
+        ]
+        out = tensor(*mats)
+        if not any(stacked for _, _, stacked in factors):
+            assert np.array_equal(out.view(np.uint64), reduce(np.kron, mats).view(np.uint64))
+            return
+        assert out.shape[0] == length
+        for i in range(length):
+            want = reduce(np.kron, [m[i] if m.ndim == 3 else m for m in mats])
+            assert np.array_equal(np.ascontiguousarray(out[i]).view(np.uint64), want.view(np.uint64))
 
 
 class TestHsInner:

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from witgeo import io as wio
 from witgeo.cli import main
-from witgeo.measurements import standard_witness, two_qubit_decomposition
+from witgeo.measurements import qudit_decomposition, standard_witness, two_qubit_decomposition
 from witgeo.upb import tiles
 
 from upb_document import upb_doc
@@ -151,6 +151,19 @@ def test_damaged_witness_loads_or_is_bad_input(witness_file, mutation):
         assert mat.shape == (math.prod(dims),) * 2
         assert np.isfinite(mat).all() and math.isfinite(c0)
         assert np.abs(mat - mat.conj().T).max() <= 1e-10
+
+
+def test_settings_of_different_shapes_are_bad_input(tmp_path):
+    # a qudit-3 setting appended to the bell2 decomposition
+    doc = json.loads(json.dumps(DOC))
+    qudit = _stored_document(wio.save_decomposition, qudit_decomposition(3))
+    doc["settings"].append(qudit["settings"][0])
+    path = tmp_path / "decomposition.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["estimate", "bell2", "--decomposition", str(path), "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert str(path) in err
+    assert "(2, 2), (2, 2), (2, 2), (3, 3)" in err
 
 
 DIMENSIONS = [p for p in NUMBERS if len(p) > 1 and p[-2] in ("dims", "shape")]

@@ -157,9 +157,9 @@ class TestGhzFamily:
 
 
 def _pauli_eigvec(pauli, sign):
-    """The eigenvector of a Pauli matrix with eigenvalue sign, from eigh."""
+    """The eigenvector of a Pauli matrix with eigenvalue sign, from eigh, as one column."""
     w, v = np.linalg.eigh(pauli)
-    return v[:, int(np.argmax(w)) if sign > 0 else int(np.argmin(w))]
+    return v[:, [int(np.argmax(w)) if sign > 0 else int(np.argmin(w))]]
 
 
 class TestPauliParityState:

@@ -15,8 +15,10 @@ from witgeo.upb import (
 )
 from witgeo.witness import evaluate
 
+import upb_reference
 from paper_states import reweighted_bound_entangled
 from product_projection import product_matrix
+from upb_ladder import pyramid, shifts
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,13 @@ class TestUniformMixture:
         assert np.sum(w > 1e-10) == 5
         assert np.trace(mu.mat @ mu.mat).real == pytest.approx(1 / 5, abs=1e-12)
         assert np.trace(mu.mat).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [tiles, shifts, pyramid])
+    def test_bit_identical_to_member_sum(self, family):
+        # one stacked tensor call against np.kron member by member
+        upb = family()
+        got, want = uniform_mixture(upb).mat, upb_reference.uniform_mixture(upb)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBoundEntangled:
