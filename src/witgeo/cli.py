@@ -223,6 +223,9 @@ def cmd_verify(args) -> tuple:
         raise BadInput("verify requires an explicit --seed")
     if args.seed < 0:  # seed + 1 below would turn -1 into a valid seed
         raise BadInput(f"--seed must be >= 0, got {args.seed}")
+    # the upb target set eps by a see-saw on seed; restarts from that stream
+    # would land on the same minimum and make this check read 0 by construction
+    seesaw = SeeSawConfig(restarts=args.restarts, seed=args.seed + 1)
     target = _build_target(args)
     w = target.witness
     checks = []
@@ -241,11 +244,7 @@ def cmd_verify(args) -> tuple:
     detection = evaluate(w, w.rho0)
     checks.append(("detects_target", detection < -DETECTION_TOL, detection))
 
-    # the upb target set eps by a see-saw on seed; restarts from that stream
-    # would land on the same minimum and make this check read 0 by construction
-    oracle = min_over_products(
-        w.matrix, w.dims, SeeSawConfig(restarts=args.restarts, seed=args.seed + 1)
-    )
+    oracle = min_over_products(w.matrix, w.dims, seesaw)
     checks.append(("positive_on_products", oracle.value >= -1e-8, oracle.value))
 
     failed = [name for name, ok, _ in checks if not ok]

@@ -59,6 +59,9 @@ def ppt_report(rho: DensityState) -> PptReport:
 # by less than _SWEEP_TOL, or after _MAX_SWEEPS sweeps.
 _MAX_SWEEPS = 200
 _SWEEP_TOL = 1e-11
+# Each party step stacks restarts x N x d_k complex entries: at the bound
+# and N = 4096 (ghz 12, d_k = 2) that is 32 MiB, and 0.9 GiB for qudit 61.
+MAX_RESTARTS = 256
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class SeeSawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,15 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     is the minimum eigenvector of the effective single-party operator.
     The objective after each sweep is the last party's lowest local
     eigenvalue; it never rises, and a sweep that raises it by more than
-    1e-9 raises AssertionError.  Restarts are independent and merged by
-    min, keyed by (value, restart index), so the result is deterministic
-    under (seed, restarts).  They advance together: each party step
-    builds one column stack of restarts x N x d_k complex entries with
-    linalg.tensor, for one batched eigh; a restart leaves once a sweep
-    gains less than _SWEEP_TOL.
+    1e-9 raises AssertionError.  Every start comes from one normal draw
+    of shape (restarts, sum(dims), 2) on default_rng(seed): row r holds
+    restart r's real and imaginary parts, party after party, so restart
+    r starts from the same vectors for any restarts > r.  Restarts are
+    merged by min over (value, restart index), so the result is
+    deterministic under (seed, restarts).  They advance together: each
+    party step builds one column stack of restarts x N x d_k complex
+    entries with linalg.tensor, for one batched eigh; a restart leaves
+    once a sweep gains less than _SWEEP_TOL.
     """
     cfg = cfg or SeeSawConfig()
     h = np.asarray(h, dtype=complex)
@@ -108,15 +114,15 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     if not dims or int(np.prod(dims)) != h.shape[0]:
         raise ValueError(f"dims {dims} do not match matrix size {h.shape[0]}")
 
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
-    starts = [[g.normal(size=d) + 1j * g.normal(size=d) for g in rngs] for d in dims]
-    vecs = [np.array([v / np.linalg.norm(v) for v in party]) for party in starts]  # (restarts, d_k)
+    draw = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, sum(dims), 2))
+    starts = np.split(draw.view(complex)[..., 0], np.cumsum(dims)[:-1], axis=1)
+    vecs = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in starts]  # (restarts, d_k)
+    eyes = [np.eye(d, dtype=complex)[None] for d in dims]  # a batch axis for one party alone
     finals = np.full(cfg.restarts, np.inf)  # each restart's objective after its last sweep
     live = np.arange(cfg.restarts)
     for _ in range(_MAX_SWEEPS):
-        for k, d in enumerate(dims):
-            eye = np.broadcast_to(np.eye(d, dtype=complex), (len(live), d, d))
-            cols = tensor(*(eye if i == k else v[live, :, None] for i, v in enumerate(vecs)))
+        for k in range(len(dims)):
+            cols = tensor(*(eyes[k] if i == k else v[live, :, None] for i, v in enumerate(vecs)))
             w, u = np.linalg.eigh(cols.conj().transpose(0, 2, 1) @ h @ cols)
             vecs[k][live] = u[:, :, 0]
         val, prev = w[:, 0], finals[live]  # <pi|H|pi> once the last party is updated

@@ -2,9 +2,10 @@
 
 ``oracle.min_over_products`` advances every restart together, with one
 batched ``eigh`` per party step.  This loop is the plain form of the same
-algorithm: the same seeded starts, Kronecker column stack, multiplication
-order and stopping rule, so ``tests/test_oracle.py`` requires its results
-to be bit-identical to the library's.
+algorithm: the same seeded starts (row r of one normal draw for restart
+r), Kronecker column stack, multiplication order and stopping rule, so
+``tests/test_oracle.py`` requires its results to be bit-identical to the
+library's.
 """
 
 import numpy as np
@@ -30,14 +31,13 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     if not dims or int(np.prod(dims)) != h.shape[0]:
         raise ValueError(f"dims {dims} do not match matrix size {h.shape[0]}")
 
+    draw = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, sum(dims), 2))
     finals = []
     argmins = []
     for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        vecs = []
-        for d in dims:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            vecs.append(v / np.linalg.norm(v))
+        # restart r's start is row r of the draw, formed with the library's expressions
+        starts = np.split(draw[r : r + 1].view(complex)[..., 0], np.cumsum(dims)[:-1], axis=1)
+        vecs = [(v / np.linalg.norm(v, axis=1, keepdims=True))[0] for v in starts]
         prev = np.inf
         for _ in range(_MAX_SWEEPS):
             for k in range(n):

@@ -18,6 +18,8 @@ from witgeo import states
 from witgeo import witness as witness_module
 from witgeo.cli import main
 from witgeo.measurements import ghz_settings, ghz_witness
+from witgeo.oracle import MAX_RESTARTS
+from witgeo.upb import estimate_epsilon
 from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
 
@@ -250,17 +252,32 @@ class TestVerifyCommand:
         assert doc["failed"] == []
 
     def test_upb_positivity_not_checked_on_the_eps_stream(self, capsys):
-        # one restart on seed 2 sets eps = 0.06699, far above the true 0.028416;
+        # one restart on seed 3 sets eps = 0.06699, far above the true 0.028416;
         # a see-saw on the stream that set eps would find its own minimum again
         # and pass a witness that is negative on a product state
+        assert estimate_epsilon(upb_tiles(), restarts=1, seed=3).epsilon > 0.05
         code, doc = run_json(
             capsys,
             "verify", "upb", "tiles",
-            "--seed", "2", "--restarts", "1",
+            "--seed", "3", "--restarts", "1",
         )
         assert code == 1
         assert doc["failed"] == ["positive_on_products"]
         assert doc["checks"]["positive_on_products"]["value"] < -1e-4
+
+    @pytest.mark.parametrize("restarts", [0, MAX_RESTARTS + 1, 10**9])
+    @pytest.mark.parametrize("target", [["verify", "bell2"], ["witness", "upb", "tiles"]])
+    def test_restart_count_out_of_range_is_bad_input(self, capsys, monkeypatch, target, restarts):
+        # rejected before any start is drawn: a draw here would be a missing bound
+        def no_draw(*args):
+            raise RuntimeError("see-saw started")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        code = main([*target, "--seed", "1", "--restarts", str(restarts)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert not out
+        assert f"[1, {MAX_RESTARTS}]" in err
 
     def test_negative_seed_is_bad_input(self, capsys):
         code, _ = run(capsys, "verify", "bell2", "--seed", "-1")

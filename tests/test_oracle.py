@@ -144,6 +144,24 @@ class TestBatchedSeeSaw:
         for a, b in zip(got.argmin.factors, want.argmin.factors, strict=True):
             assert np.array_equal(a, b)
 
+    def test_restart_start_depends_only_on_seed_and_index(self):
+        h = three_qubit_witness(0.02, 0.05).matrix
+        many = min_over_products(h, (2, 2, 2), SeeSawConfig(restarts=32, seed=5))
+        few = min_over_products(h, (2, 2, 2), SeeSawConfig(restarts=8, seed=5))
+        assert many.values[:8] == few.values
+
+    def test_one_generator_per_call(self, monkeypatch):
+        made = []
+        make = np.random.default_rng
+
+        def record(*args):
+            made.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", record)
+        min_over_products(standard_witness(3).matrix, (3, 3), SeeSawConfig(restarts=32, seed=2))
+        assert made == [(2,)]
+
     def test_one_batched_eigh_per_party_step(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
