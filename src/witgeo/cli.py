@@ -5,7 +5,8 @@
 Every run emits one JSON report (or key,value CSV with --format csv) on
 stdout; matrices go to sibling files under --out.  Randomized commands
 require an explicit --seed.  Exit codes: 0 success, 1 verification
-failure, 2 bad input, 3 internal inconsistency or error.
+failure, 2 bad input (BadInput where an argument, option or file enters,
+or an OSError), 3 anything else: a fault in the program, in one form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as wio
-from .linalg import MAX_SIZE
+from .linalg import MAX_SIZE, BadInput
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
@@ -34,7 +35,7 @@ from .measurements import (
     three_qubit_witness,
     two_qubit_decomposition,
 )
-from .oracle import SeeSawConfig, min_over_products, ppt_report
+from .oracle import MAX_RESTARTS, SeeSawConfig, min_over_products, ppt_report
 from .spin import is_prime
 from .states import completely_random
 from .upb import estimate_epsilon, far_face_witness, tiles
@@ -52,10 +53,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-class BadInput(Exception):
-    pass
 
 
 def _check_size(size: int, form: str) -> None:
@@ -90,8 +87,6 @@ def _build_target(args) -> Target:
         return Target(f"qudit{d}", w, lambda: qudit_decomposition(d), {})
     if kind == "ghz":
         n = _positive_int(args.params, 0, "n")
-        if n < 2:
-            raise BadInput("ghz needs at least 2 parties")
         _check_size(2 ** min(n, 13), f"2^{n}")  # capped: 2^n of a huge n is itself huge
         g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
@@ -100,29 +95,22 @@ def _build_target(args) -> Target:
     if kind == "threeq":
         m = _float_param(args.params, 0, "m")
         t = _float_param(args.params, 1, "t")
-        if t == 0:
-            raise BadInput("separable target (t = 0), no witness")
-        if t < 0:
-            raise BadInput("t < 0: swap the anti-diagonal parameters (mirror symmetry) first")
         w = three_qubit_witness(m, t)
         return Target(f"threeq_m{m}_t{t}", w, lambda: three_qubit_decomposition(t), {})
-    if kind == "upb":
-        if args.seed is None:
-            raise BadInput("upb targets require an explicit --seed")
-        source = args.params[0] if args.params else "tiles"
-        upb = tiles() if source == "tiles" else wio.load_upb(source)
-        dims = upb.shape.dims
-        _check_size(math.prod(dims), "x".join(map(str, dims)))
-        est = estimate_epsilon(upb, restarts=args.restarts, seed=args.seed)
-        extras = {
-            "epsilon": est.epsilon,
-            "consensus": f"{est.consensus}/{est.restarts}",
-            "m": upb.m,
-            "N": upb.shape.size,
-        }
-        w = far_face_witness(upb, est.epsilon)
-        return Target("upb", w, lambda: far_face_decomposition(upb, est.epsilon), extras)
-    raise BadInput(f"unknown target {kind!r}")
+    # upb, the last target the parser admits
+    source = args.params[0] if args.params else "tiles"
+    upb = tiles() if source == "tiles" else wio.load_upb(source)
+    dims = upb.shape.dims
+    _check_size(math.prod(dims), "x".join(map(str, dims)))
+    est = estimate_epsilon(upb, restarts=args.restarts, seed=args.seed)
+    extras = {
+        "epsilon": est.epsilon,
+        "consensus": f"{est.consensus}/{est.restarts}",
+        "m": upb.m,
+        "N": upb.shape.size,
+    }
+    w = far_face_witness(upb, est.epsilon)
+    return Target("upb", w, lambda: far_face_decomposition(upb, est.epsilon), extras)
 
 
 def _positive_int(params, idx, name) -> int:
@@ -133,10 +121,10 @@ def _positive_int(params, idx, name) -> int:
 
 
 def _float_param(params, idx, name) -> float:
-    """A finite float from command-line text or a JSON number."""
+    """A finite float from command-line text."""
     try:
         value = float(params[idx])
-    except (IndexError, OverflowError, ValueError):  # OverflowError: a JSON integer past 1e308
+    except (IndexError, ValueError):
         raise BadInput(f"missing or invalid parameter {name!r}") from None
     if not math.isfinite(value):
         raise BadInput(f"parameter {name!r} must be finite, got {value}")
@@ -219,10 +207,6 @@ def cmd_decompose(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    if args.seed is None:
-        raise BadInput("verify requires an explicit --seed")
-    if args.seed < 0:  # seed + 1 below would turn -1 into a valid seed
-        raise BadInput(f"--seed must be >= 0, got {args.seed}")
     # the upb target set eps by a see-saw on seed; restarts from that stream
     # would land on the same minimum and make this check read 0 by construction
     seesaw = SeeSawConfig(restarts=args.restarts, seed=args.seed + 1)
@@ -264,8 +248,6 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_estimate(args) -> tuple:
-    if args.seed is None:
-        raise BadInput("estimate requires an explicit --seed")
     target = _build_target(args)
     w = target.witness
     state = completely_random(w.dims) if args.state == "d0" else getattr(w, args.state)
@@ -300,13 +282,9 @@ def cmd_estimate(args) -> tuple:
 
 def _parse_amps(text: str) -> np.ndarray:
     """Amplitudes from a file holding a flat JSON list of numbers, or a comma list."""
-    path = Path(text)
-    if path.exists():
-        amps = json.loads(path.read_text())
-        if not (isinstance(amps, list) and {type(x) for x in amps} <= {int, float}):
-            raise BadInput(f"amplitudes file {text} must hold a flat list of numbers")
-    else:
-        amps = text.split(",")
+    if Path(text).exists():
+        return wio.load_amplitudes(text)
+    amps = text.split(",")
     return np.array([_float_param(amps, i, "amplitudes") for i in range(len(amps))])
 
 
@@ -333,14 +311,12 @@ def cmd_threshold(args) -> tuple:
         delta = _float_param(args.params, 3, "delta")
         value = qudit_detection_predicate(d, amps / norm, p, delta)
         outputs = {"detected": bool(value)}
-    elif kind == "frustum":
+    else:  # frustum, the last kind the parser admits
         p, delta, n, m, b, eps = (_float_param(args.params, i, "frustum args") for i in range(6))
         if not (n.is_integer() and m.is_integer()):
             raise BadInput(f"frustum N and m must be integers, got {n} and {m}")
         value = frustum_predicate(p, delta, int(n), int(m), b, eps)
         outputs = {"detected": bool(value)}
-    else:
-        raise BadInput(f"unknown threshold kind {kind!r}")
     return {"kind": kind, "inputs": {"params": args.params}, "outputs": outputs}, value, EXIT_OK
 
 
@@ -390,8 +366,21 @@ _HANDLERS = {
 }
 
 
+def _check_options(args) -> None:
+    """Reject --seed and --restarts values for every command that takes them."""
+    if not hasattr(args, "seed"):  # threshold takes neither
+        return
+    if args.seed is None and (args.command in ("verify", "estimate") or args.target == "upb"):
+        raise BadInput(f"{args.command} {args.target} requires an explicit --seed")
+    if args.seed is not None and args.seed < 0:  # verify's seed + 1 would make -1 valid
+        raise BadInput(f"--seed must be >= 0, got {args.seed}")
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise BadInput(f"--restarts must lie in [1, {MAX_RESTARTS}], got {args.restarts}")
+
+
 def _run(args) -> int:
     """Run one command; its handler returns the report body, headline and exit code."""
+    _check_options(args)
     t0 = time.perf_counter()
     body, headline, code = _HANDLERS[args.command](args)
     report = {"command": args.command, **body}
@@ -407,12 +396,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (BadInput, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (BadInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AssertionError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a fault in the program, not in the input or the result
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

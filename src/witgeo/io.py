@@ -12,7 +12,7 @@ the decomposition document lists the identity coefficient and, per
 setting, the party bases (each a dense d x d unitary, stored as
 {"dims": [d], "entries": [[re, im], ...]} over all d*d entries) and the
 dense weight table; the UPB document stores per-party complex factor
-lists and is only read.
+lists and, like a flat amplitudes list, is only read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import MAX_SIZE, DensityState, SystemShape, is_hermitian
+from .linalg import MAX_SIZE, BadInput, DensityState, SystemShape, is_hermitian
 from .measurements import MeasurementSetting, WitnessDecomposition
 from .upb import UpbSet
 from .witness import Witness
@@ -76,12 +76,11 @@ def _save(path, doc: dict) -> None:
 
 @contextmanager
 def _document(path):
-    """The JSON document at path; bad content raises ValueError naming the file."""
-    text = Path(path).read_text()
+    """The JSON document at path; bad text raises BadInput naming the file, as OSError does."""
     try:
-        yield json.loads(text)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid document {path}: {type(exc).__name__}: {exc}") from None
+        yield json.loads(Path(path).read_text())
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise BadInput(f"invalid document {path}: {type(exc).__name__}: {exc}") from None
 
 
 def matrix_doc(mat: np.ndarray, dims) -> dict:
@@ -182,6 +181,11 @@ def load_decomposition(path) -> WitnessDecomposition:
             w = _floats(table["values"]).reshape(_dims(table["shape"]))
             settings.append((_number(s["weight"]), MeasurementSetting(bases, w)))
         return WitnessDecomposition(_number(doc["identity_coeff"]), tuple(settings))
+
+
+def load_amplitudes(path) -> np.ndarray:
+    with _document(path) as doc:
+        return _floats(doc)
 
 
 def load_upb(path) -> UpbSet:

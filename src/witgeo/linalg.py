@@ -25,6 +25,10 @@ TOL_TRACE = 1e-10
 MAX_SIZE = 2**12
 
 
+class BadInput(ValueError):
+    """A user value or file fails a check where it enters; the CLI exits 2 on it."""
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState
+from .linalg import BadInput, DensityState, hs_inner
 from .spin import eigenbasis
 from .states import (
     closest_separable,
@@ -41,7 +41,7 @@ from .states import (
     max_entangled,
     three_qubit_separable_candidates,
 )
-from .witness import Witness, nearest_witness
+from .witness import Witness, _hyperplane, nearest_witness
 
 if TYPE_CHECKING:
     from .upb import UpbSet
@@ -247,7 +247,7 @@ def ghz_witness(n: int) -> GhzWitness:
     which lies in (0, 1) for every n >= 2.
     """
     if n < 2:
-        raise ValueError("need at least two parties")
+        raise BadInput(f"ghz needs at least two parties, got n = {n}")
     rho0 = ghz(n)
     delta = ghz_dephased(n)
     corner = ghz_corner_mix(n)
@@ -365,7 +365,7 @@ def shot_estimate(
     value of the settings, ``expectation``, is Tr(W rho) if they measure W.
     """
     if not 1 <= shots_per_setting < 2**63:  # numpy draws int64 counts
-        raise ValueError(f"shots per setting must lie in [1, {2**63 - 1}]")
+        raise BadInput(f"shots per setting must lie in [1, {2**63 - 1}]")
     estimate = expectation = dec.identity_coeff
     variance = 0.0
     for idx, (sw, setting) in enumerate(dec.settings):
@@ -409,7 +409,11 @@ def three_qubit_witness(m: float, t: float) -> Witness:
     with c0 = t/4.  It is not positive on product states, so it is not a
     witness: W = (t/4)[I - (XXX + XYY - YXY - YYX)] has product-state
     floor (t/4)(1 - sqrt(2)), reached at Bloch angles theta_k = pi/4,
-    phi = (pi/4, -pi/4, -pi/4).
+    phi = (pi/4, -pi/4, -pi/4).  Its detection value Tr(W rho) = -2 t^2 rounds
+    to zero or above for t below about 1e-10, which is bad input.
     """
     cands = three_qubit_separable_candidates(m, t)
-    return nearest_witness(cands.rho, cands.nearest)
+    c0, w = _hyperplane(cands.rho, cands.nearest)
+    if hs_inner(w, cands.rho.mat).real >= 0:  # the Witness detection test, before it raises
+        raise BadInput(f"t = {t} is too small for the witness to detect its target")
+    return Witness(matrix=w, c0=c0, rho0=cands.rho, tau0=cands.nearest)

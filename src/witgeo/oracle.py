@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    BadInput,
     DensityState,
     ProductProjection,
     is_hermitian,
@@ -71,7 +72,7 @@ class SeeSawConfig:
 
     def __post_init__(self):
         if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
+            raise BadInput(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
 
 
 @dataclass(frozen=True)

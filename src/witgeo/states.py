@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState, SystemShape, tensor
+from .linalg import BadInput, DensityState, SystemShape, tensor
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -205,9 +205,9 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
     the family's mirror symmetry first.
     """
     if t <= 0:
-        raise ValueError("t must be positive; use the mirrored parameters for t < 0")
+        raise BadInput("t must be positive; use the mirrored parameters for t < 0")
     if not abs(m) + t <= 0.125 + 1e-12:  # the family's region; implies nearest's |m| + t/2 <= 1/8
-        raise ValueError(f"(m={m}, t={t}) leaves the family's region |m| + t <= 1/8")
+        raise BadInput(f"(m={m}, t={t}) leaves the family's region |m| + t <= 1/8")
     rho = three_qubit_family_mt(m, t)
     nearest = DensityState(
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityState, ProductProjection, SystemShape, tensor
+from .linalg import BadInput, DensityState, ProductProjection, SystemShape, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
 from .witness import Witness, _hyperplane
 
@@ -115,7 +115,7 @@ def bound_entangled(upb: UpbSet) -> DensityState:
     mat = (np.eye(n) - m * mu.mat) / (n - m)
     low = np.linalg.eigvalsh(mat).min()
     if low < -1e-10:
-        raise ValueError(f"complement state not PSD (min eig {low:.3e}); invalid UPB input")
+        raise BadInput(f"complement state not PSD (min eig {low:.3e}); invalid UPB input")
     return DensityState(mat, upb.shape)
 
 
@@ -139,7 +139,7 @@ def estimate_epsilon(upb: UpbSet, restarts: int = 64, seed: int = 0) -> EpsilonE
         mu.mat, upb.shape.dims, SeeSawConfig(restarts=restarts, seed=seed)
     )
     if res.value <= 1e-12:
-        raise ValueError(
+        raise BadInput(
             "minimum product overlap is numerically zero; the family is extendible "
             "or otherwise invalid"
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityState, hs_inner
+from .linalg import BadInput, DensityState, hs_inner
 
 # An expectation value this far below zero counts as detection; anything
 # closer to zero is treated as eigensolver noise.
@@ -103,11 +103,11 @@ def two_qubit_noise_threshold(a: float, b: float, delta: float = 0.0) -> float:
     give a guarantee (a*b = 0).
     """
     if a < 0 or b < 0:
-        raise ValueError("Schmidt coefficients must be nonnegative")
+        raise BadInput("Schmidt coefficients must be nonnegative")
     if abs(a * a + b * b - 1.0) > 1e-10:
-        raise ValueError(f"coefficients not normalized: a^2+b^2 = {a*a + b*b}")
+        raise BadInput(f"coefficients not normalized: a^2+b^2 = {a*a + b*b}")
     if not (delta >= 0 and np.isfinite(4 * delta)):  # 4*delta = inf would give inf / inf
-        raise ValueError(f"delta must be nonnegative with 4*delta finite, got {delta}")
+        raise BadInput(f"delta must be nonnegative with 4*delta finite, got {delta}")
     return (1 + 4 * delta) / (4 * a * b + 1 + 4 * delta)
 
 
@@ -120,16 +120,16 @@ def qudit_detection_predicate(d: int, amps, p: float, delta: float) -> bool:
     """
     a = np.asarray(amps, dtype=float)
     if abs(np.dot(a, a) - 1.0) > 1e-10:
-        raise ValueError("coefficients not normalized")
+        raise BadInput("coefficients not normalized")
     if len(a) != d:
-        raise ValueError(f"expected {d} coefficients, got {len(a)}")
+        raise BadInput(f"expected {d} coefficients, got {len(a)}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise BadInput(f"p must lie in [0, 1], got {p}")
     # Python floats overflow to inf without a numpy warning; an infinite term
     # would give 0 * inf at p = 1
     term = 1 - 1 / d + delta * math.sqrt(2 * d * (d - 1))
     if not (delta >= 0 and math.isfinite(term)):
-        raise ValueError(f"delta must be nonnegative with a finite noise term, got {delta}")
+        raise BadInput(f"delta must be nonnegative with a finite noise term, got {delta}")
     if p == 0:
         return False
     rhs = float(np.sum(a)) ** 2 - 1
@@ -144,12 +144,12 @@ def frustum_predicate(p: float, delta: float, n: int, m: int, b: float, eps: flo
     far-face hyperplane for every sigma within delta of I/N.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise BadInput(f"p must lie in [0, 1], got {p}")
     if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+        raise BadInput(f"delta must be nonnegative, got {delta}")
     if not 0 < b <= m < n:
-        raise ValueError(f"need 0 < b <= m < N, got b={b}, m={m}, N={n}")
+        raise BadInput(f"need 0 < b <= m < N, got b={b}, m={m}, N={n}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise BadInput("eps must be positive")
     lhs = p * (m - b) / (n - b) + (1 - p) / n + (1 - p) * delta / math.sqrt(m)  # m may exceed int64
     return bool(lhs < eps / m)

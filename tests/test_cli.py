@@ -17,6 +17,7 @@ from witgeo import measurements
 from witgeo import states
 from witgeo import witness as witness_module
 from witgeo.cli import main
+from witgeo.linalg import DensityState
 from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.oracle import MAX_RESTARTS
 from witgeo.upb import estimate_epsilon
@@ -266,22 +267,42 @@ class TestVerifyCommand:
         assert doc["checks"]["positive_on_products"]["value"] < -1e-4
 
     @pytest.mark.parametrize("restarts", [0, MAX_RESTARTS + 1, 10**9])
-    @pytest.mark.parametrize("target", [["verify", "bell2"], ["witness", "upb", "tiles"]])
-    def test_restart_count_out_of_range_is_bad_input(self, capsys, monkeypatch, target, restarts):
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ["verify", "bell2"],
+            ["witness", "upb", "tiles"],
+            ["witness", "bell2"],  # runs no see-saw, but takes the option
+            ["estimate", "bell2", "--shots", "10"],
+        ],
+    )
+    def test_restart_count_out_of_range_is_bad_input(
+        self, capsys, monkeypatch, tmp_path, target, restarts
+    ):
         # rejected before any start is drawn: a draw here would be a missing bound
         def no_draw(*args):
             raise RuntimeError("see-saw started")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.chdir(tmp_path)
         code = main([*target, "--seed", "1", "--restarts", str(restarts)])
         out, err = capsys.readouterr()
         assert code == 2
         assert not out
         assert f"[1, {MAX_RESTARTS}]" in err
+        assert "--restarts" in err
 
-    def test_negative_seed_is_bad_input(self, capsys):
-        code, _ = run(capsys, "verify", "bell2", "--seed", "-1")
+    @pytest.mark.parametrize(
+        "target", [["verify", "bell2"], ["estimate", "bell2"], ["witness", "upb", "tiles"]]
+    )
+    def test_negative_seed_is_bad_input(self, capsys, monkeypatch, tmp_path, target):
+        # checked where the option enters, not by numpy's generator
+        monkeypatch.chdir(tmp_path)
+        code = main([*target, "--seed", "-1"])
+        out, err = capsys.readouterr()
         assert code == 2
+        assert not out
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_identity_fault_fails(self, capsys, monkeypatch):
         # an entrywise 5e-11 offset passes the 1e-10 reconstruction residual,
@@ -736,3 +757,133 @@ def test_unexpected_error_exits_internal(capsys, monkeypatch):
     code = main(["witness", "bell2"])
     assert code == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
+
+
+# Input files that fail where they enter: bytes that are no UTF-8, and a JSON
+# array nested past the interpreter's recursion limit
+BAD_FILES = {"not_utf8": b"\xff\xfe", "deep": b"[" * 100000}
+FILE_COMMANDS = {
+    "upb": lambda path: ["witness", "upb", path, "--seed", "1"],
+    "decomposition": lambda path: ["estimate", "bell2", "--decomposition", path, "--seed", "1"],
+    "amplitudes": lambda path: ["threshold", "qudit", "3", path, "0.5", "0"],
+}
+
+
+@pytest.mark.parametrize("content", BAD_FILES.values(), ids=list(BAD_FILES))
+@pytest.mark.parametrize("command", FILE_COMMANDS.values(), ids=list(FILE_COMMANDS))
+def test_unreadable_document_is_bad_input(capsys, monkeypatch, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    code = main(command(str(path)))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid document {path}: ")
+
+
+def test_builder_fault_is_internal(capsys, monkeypatch, tmp_path):
+    # a transcription error in a builder: the closest separable state's trace
+    # is 1 + 1e-6; witness bell2 reads no input, so this is no bad input
+    closest = measurements.closest_separable
+
+    def off_trace(rho0):
+        return DensityState(closest(rho0).mat * (1 + 1e-6), rho0.shape)
+
+    monkeypatch.setattr(measurements, "closest_separable", off_trace)
+    code = main(["witness", "bell2", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: ValueError: trace")
+
+
+def test_key_error_in_builder_is_internal(capsys, monkeypatch, tmp_path):
+    def missing_key(n):
+        raise KeyError("a")
+
+    monkeypatch.setattr(measurements, "ghz_corner_mix", missing_key)
+    code = main(["witness", "ghz", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: KeyError: 'a'\n"
+
+
+def _words(*pools):
+    """Positional words, one from each pool in turn; half the time cut short."""
+    length = st.one_of(st.just(len(pools)), st.integers(0, len(pools) - 1))
+    return st.tuples(*map(st.sampled_from, pools), length).map(
+        lambda drawn: list(drawn[: drawn[-1]])
+    )
+
+
+# Sizes come only from small cases and from values the N <= 4096 bound
+# rejects: a qudit of 17 or more, or ghz 9 to 12, would take seconds each.
+# FILE stands for one of the bad files, a missing path or a directory, OUT
+# for a fresh output directory.
+NUMBERS = ["0", "0.5", "1", "-1", "1e-300", "1e308", "nan", "-inf", "x", ""]
+FUZZ_TARGETS = {
+    "bell2": st.just([]),
+    "qudit": _words(["3", "5", "2", "4", "1", "0", "-1", "67", "1000000000", "x"]),
+    "ghz": _words(["2", "3", "4", "1", "0", "-1", "13", "99", "x"]),
+    "threeq": _words(*[["0", "0.0625", "0.05", "-0.05", "0.125", "0.2", *NUMBERS]] * 2),
+    "upb": _words(["tiles", "FILE"]),
+}
+FUZZ_THRESHOLDS = {
+    "twoqubit": _words(*[["0.6", "0.8", *NUMBERS]] * 3),
+    "qudit": _words(
+        ["3", "2", "4", "0", "x"], ["1,1,1", "0.6,0.8", "0,0,0", "1,nan", "FILE"], NUMBERS, NUMBERS
+    ),
+    "frustum": _words(
+        NUMBERS, NUMBERS, ["9", "9.5", *NUMBERS], ["5", "10", *NUMBERS],
+        ["5", "0", *NUMBERS], ["0.028", *NUMBERS],
+    ),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """An argv over all five subcommands; each option is drawn or left out."""
+    command = draw(st.sampled_from(["witness", "decompose", "verify", "estimate", "threshold"]))
+    if command == "threshold":
+        kind = draw(st.sampled_from(sorted(FUZZ_THRESHOLDS)))
+        return [command, kind, *draw(FUZZ_THRESHOLDS[kind])]
+    target = draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    # None leaves the option out
+    options = {
+        "--seed": ["1", "7", "0", "1", "7", "-1", None],
+        "--restarts": ["2", "1", "2", "1", "0", "257", None],
+        "--out": ["OUT", "OUT", "FILE"],
+        "--shots": ["10", "1", "0", str(2**63), None],
+        "--state": ["rho0", "tau0", "d0", None],
+        "--decomposition": ["FILE", None, None],
+    }
+    taken = ["--seed", "--restarts"]
+    taken += {"estimate": ["--shots", "--state", "--decomposition"], "verify": []}.get(
+        command, ["--out"]
+    )
+    argv = [command, target, *draw(FUZZ_TARGETS[target])]
+    for name in taken:
+        value = draw(st.sampled_from(options[name]))
+        argv += [] if value is None else [name, value]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(argv=fuzz_argv(), data=st.data())
+def test_argv_fuzz_never_exits_internal(argv, data):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in BAD_FILES.items():
+            Path(tmp, name).write_bytes(content)
+        paths = st.sampled_from([*BAD_FILES, "missing", "."]).map(lambda name: str(Path(tmp, name)))
+        names = {"OUT": st.just(str(Path(tmp, "out"))), "FILE": paths}
+        argv = [data.draw(names[word]) if word in names else word for word in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv before main's handlers
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv

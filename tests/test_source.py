@@ -155,3 +155,29 @@ def test_every_public_name_has_a_caller():
         if name not in referenced and name not in AWAITING_CALLERS
     )
     assert not unused, f"public names without a caller outside the tests: {unused}"
+
+
+# Where input enters: the CLI parses argv, io reads files.
+EDGE = ("cli.py", "io.py")
+
+
+def test_exceptions_handled_only_at_the_edge():
+    # bad input is one exception raised where input enters, and cli.main picks
+    # the exit code by type alone; a handler anywhere else could turn a fault
+    # in the program into bad input, or hide it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in EDGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert not found, f"exception handlers outside {EDGE}: {found}"
+    cli_py = Path(witgeo.__file__).parent / "cli.py"
+    (main,) = [
+        node
+        for node in ast.parse(cli_py.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    ]
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["(BadInput, OSError)", "Exception"]
