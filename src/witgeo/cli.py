@@ -33,7 +33,6 @@ from .measurements import (
     standard_witness,
     three_qubit_decomposition,
     three_qubit_witness,
-    two_qubit_decomposition,
 )
 from .oracle import MAX_RESTARTS, SeeSawConfig, min_over_products, ppt_report
 from .spin import is_prime
@@ -77,7 +76,7 @@ def _build_target(args) -> Target:
     kind = args.target
     if kind == "bell2":
         w = standard_witness(2)
-        return Target("bell2", w, two_qubit_decomposition, {})
+        return Target("bell2", w, lambda: qudit_decomposition(2), {})
     if kind == "qudit":
         d = _positive_int(args.params, 0, "d")
         _check_size(d * d, f"{d}^2")

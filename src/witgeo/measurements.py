@@ -17,9 +17,9 @@ anti-correlated patterns uniform.  M_s and the outcome probabilities
 are contracted one party at a time, O(d N^2) per setting; the N x N
 Kronecker product of the party bases is never formed.
 
-Builders cover the two-qubit witness (3 settings), the d x d witness
-for odd prime d (d+1 settings in the closed-form spin eigenbases), the
-three-qubit bound entangled family (4 settings), the n-qubit GHZ
+Builders cover the d x d witness for prime d (d+1 settings in the
+closed-form spin eigenbases; d = 2 takes the 3 GHZ settings of n = 2),
+the three-qubit bound entangled family (4 settings), the n-qubit GHZ
 witness, and the far-face witness of an unextendible product basis (m
 single-outcome settings).
 """
@@ -41,7 +41,7 @@ from .states import (
     max_entangled,
     three_qubit_separable_candidates,
 )
-from .witness import Witness, _hyperplane, nearest_witness
+from .witness import DETECTION_TOL, Witness, _hyperplane, nearest_witness
 
 if TYPE_CHECKING:
     from .upb import UpbSet
@@ -135,15 +135,6 @@ class WitnessDecomposition:
         return float(np.abs(self.matrix() - target).max())
 
 
-_S = 1 / np.sqrt(2)
-# columns: the +1 and -1 eigenvectors, with the phases and zero signs eigh gives
-_PAULI_BASES = {
-    "z": np.eye(2, dtype=complex),
-    "x": np.array([[_S, -_S], [_S, _S]], dtype=complex),
-    "y": np.array([[-_S, -_S], [complex(0, -_S), complex(0, _S)]]),
-}
-
-
 def _parity_weights(n: int, parity: int, weight: float) -> np.ndarray:
     """Weight table over {0,1}^n supported on outcomes of fixed parity.
 
@@ -154,19 +145,11 @@ def _parity_weights(n: int, parity: int, weight: float) -> np.ndarray:
     return np.where(signs == parity, weight, 0.0)
 
 
-def two_qubit_decomposition() -> WitnessDecomposition:
-    """Three-setting form of the two-qubit witness.
-
-    The closest separable state is an equal mixture of three one-setting
-    densities: equal outcomes along z, equal outcomes along x, opposite
-    outcomes along y.  With W = (2/3) I - 2 tau0 each setting enters with
-    weight -2/3.
-    """
-    settings = [
-        (-2.0 / 3.0, MeasurementSetting((_PAULI_BASES[axis],) * 2, _parity_weights(2, parity, 0.5)))
-        for axis, parity in (("z", +1), ("x", +1), ("y", -1))
-    ]
-    return WitnessDecomposition(2.0 / 3.0, tuple(settings))
+def _xy_axis_basis(phi: float) -> np.ndarray:
+    """Eigenbasis of cos(phi) sigma_x + sin(phi) sigma_y, +1 eigenvector first."""
+    plus = np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2)
+    minus = np.array([1.0, -np.exp(1j * phi)], dtype=complex) / np.sqrt(2)
+    return np.column_stack([plus, minus])
 
 
 def qudit_decomposition(d: int) -> WitnessDecomposition:
@@ -181,10 +164,12 @@ def qudit_decomposition(d: int) -> WitnessDecomposition:
 
         W = 2/(1+d) * I - d * tau0
 
-    fixes the setting weights at -d/(d+1).
+    fixes the setting weights at -d/(d+1).  At d = 2 (sigma_y has no
+    eigenbasis here) the witness is the n = 2 GHZ witness, whose settings
+    are equal outcomes along z and x and opposite outcomes along y.
     """
     if d == 2:
-        return two_qubit_decomposition()
+        return ghz_settings(ghz_witness(2))
     # eigenbasis rejects a composite d
     index_pairs = [((1, 0), (d - 1, 0))] + [((j, 1), ((d - j) % d, 1)) for j in range(d)]
     weights = np.eye(d)[:, -np.arange(d) % d] / d  # 1/d at (r, -r mod d)
@@ -204,9 +189,10 @@ def three_qubit_decomposition(t: float) -> WitnessDecomposition:
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    axis_bases = {"x": _xy_axis_basis(0.0), "y": _xy_axis_basis(np.pi / 2)}
     settings = []
     for axes, parity in (("xxx", +1), ("yyx", -1), ("yxy", -1), ("xyy", +1)):
-        bases = tuple(_PAULI_BASES[ax] for ax in axes)
+        bases = tuple(axis_bases[ax] for ax in axes)
         settings.append((-2.0 * t, MeasurementSetting(bases, _parity_weights(3, parity, 0.25))))
     return WitnessDecomposition(1.25 * t, tuple(settings))
 
@@ -226,13 +212,6 @@ class GhzDecomposition(NamedTuple):
     mixing: float           # weight of the dephased part inside tau0
     witness: Witness
     decomposition: WitnessDecomposition
-
-
-def _xy_axis_basis(phi: float) -> np.ndarray:
-    """Eigenbasis of cos(phi) sigma_x + sin(phi) sigma_y, +1 eigenvector first."""
-    plus = np.array([1.0, np.exp(1j * phi)], dtype=complex) / np.sqrt(2)
-    minus = np.array([1.0, -np.exp(1j * phi)], dtype=complex) / np.sqrt(2)
-    return np.column_stack([plus, minus])
 
 
 def ghz_witness(n: int) -> GhzWitness:
@@ -409,11 +388,11 @@ def three_qubit_witness(m: float, t: float) -> Witness:
     with c0 = t/4.  It is not positive on product states, so it is not a
     witness: W = (t/4)[I - (XXX + XYY - YXY - YYX)] has product-state
     floor (t/4)(1 - sqrt(2)), reached at Bloch angles theta_k = pi/4,
-    phi = (pi/4, -pi/4, -pi/4).  Its detection value Tr(W rho) = -2 t^2 rounds
-    to zero or above for t below about 1e-10, which is bad input.
+    phi = (pi/4, -pi/4, -pi/4).  Its detection value Tr(W rho) = -2 t^2 must
+    lie below -DETECTION_TOL, so t below about 7.07e-6 is bad input.
     """
     cands = three_qubit_separable_candidates(m, t)
     c0, w = _hyperplane(cands.rho, cands.nearest)
-    if hs_inner(w, cands.rho.mat).real >= 0:  # the Witness detection test, before it raises
+    if hs_inner(w, cands.rho.mat).real >= -DETECTION_TOL:  # the detection test verify applies
         raise BadInput(f"t = {t} is too small for the witness to detect its target")
     return Witness(matrix=w, c0=c0, rho0=cands.rho, tau0=cands.nearest)

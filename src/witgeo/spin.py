@@ -38,8 +38,8 @@ def eigenbasis(d: int, j: int, k: int) -> np.ndarray:
     the unit vector at row -r/j mod d (the mutually unbiased bases of
     Wootters and Fields).  It needs u != (0,0) and prime d (for composite d
     the generator can have order < d and its eigenvalues repeat); at d = 2
-    it rejects the odd-odd index (sigma_y), whose basis the measurement
-    layer takes from the Pauli matrices.
+    it rejects the odd-odd index (sigma_y); the measurement layer builds its
+    qubit settings from the computational and equatorial axis bases.
     """
     if not is_prime(d):
         raise ValueError(f"eigenbasis needs a prime dimension, got {d}")

@@ -25,7 +25,6 @@ from witgeo.measurements import (
     shot_estimate,
     standard_witness,
     three_qubit_witness,
-    two_qubit_decomposition,
 )
 from witgeo.oracle import SeeSawConfig, min_over_products, ppt_report
 from witgeo.states import (
@@ -92,7 +91,7 @@ def test_criterion_01_two_qubit_closed_forms():
 
 def test_criterion_02_two_qubit_decomposition():
     crit = Criterion(2, "three-setting decomposition")
-    dec = two_qubit_decomposition()
+    dec = qudit_decomposition(2)
     crit.check("setting count", len(dec.settings) == 3, f"{len(dec.settings)} settings")
     tau = sum(s.weighted_sum() for _, s in dec.settings) / 3
     dev = np.abs(tau - closest_separable(max_entangled(2)).mat).max()
@@ -400,7 +399,7 @@ def test_criterion_08_far_face():
 
 def test_criterion_09_shot_estimator():
     crit = Criterion(9, "finite-shot estimator")
-    dec = two_qubit_decomposition()
+    dec = qudit_decomposition(2)
     rho0 = max_entangled(2)
     est = shot_estimate(dec, rho0, 100000, seed=909)
     if est.stderr == 0.0:

@@ -462,7 +462,6 @@ class TestEstimateCommand:
 
 
 BUILDERS = (
-    "two_qubit_decomposition",
     "qudit_decomposition",
     "three_qubit_decomposition",
     "ghz_settings",
@@ -643,6 +642,31 @@ def test_threeq_parameters_give_states_or_bad_input(m, t):
                 doc = json.loads(Path(tmp, f"{name}_{state}.json").read_text())
                 mat, _ = wio.matrix_from_doc(doc)
                 assert np.linalg.eigvalsh(mat).min() >= -1e-9, (state, m, t)
+
+
+# Half-decades of t from 1e-320 to 1e-4: the detection value -2 t^2 crosses
+# -DETECTION_TOL at t = 7.07e-6, and witness must accept exactly the t below it
+# that verify's detects_target check counts as detected
+DETECTION_GRID = [repr(10 ** (k / 2)) for k in range(-640, -7)]
+
+
+@pytest.mark.parametrize("m", ["0", "0.0625", "-0.0625", "0.001"])
+def test_threeq_accepts_exactly_the_detected_t(m):
+    accepted = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, t in enumerate(DETECTION_GRID):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["witness", "threeq", m, t, "--out", tmp])
+            if code == 2:
+                assert f"t = {t} is too small" in err.getvalue()
+                continue
+            assert code == 0, err.getvalue()
+            value = json.loads(out.getvalue())["outputs"]["detection_value"]["value"]
+            assert value < -witness_module.DETECTION_TOL, (t, value)
+            accepted.append(i)
+    assert accepted, "no t detected"
+    assert accepted == list(range(accepted[0], accepted[-1] + 1)), accepted
 
 
 class TestThresholdCommand:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from witgeo import cli
 from witgeo import io as wio
 from witgeo.linalg import DensityState, SystemShape
-from witgeo.measurements import qudit_decomposition, two_qubit_decomposition
+from witgeo.measurements import qudit_decomposition
 from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
 from witgeo.witness import nearest_witness
@@ -246,7 +246,7 @@ DECOMPOSITION_NUMBERS = {
 @pytest.mark.parametrize("token", NON_FINITE)
 def test_decomposition_rejects_non_finite_number(tmp_path, where, token):
     path = tmp_path / "dec.json"
-    doc = saved_doc(path, wio.save_decomposition, two_qubit_decomposition())
+    doc = saved_doc(path, wio.save_decomposition, qudit_decomposition(2))
     DECOMPOSITION_NUMBERS[where](doc)
     write_with(path, doc, token)
     with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -265,7 +265,7 @@ def test_upb_rejects_non_finite_entry(tmp_path, token):
 
 def test_decomposition_rejects_string_weight(tmp_path):
     path = tmp_path / "dec.json"
-    doc = saved_doc(path, wio.save_decomposition, two_qubit_decomposition())
+    doc = saved_doc(path, wio.save_decomposition, qudit_decomposition(2))
     doc["settings"][0]["outcome_weights"]["values"][0] = "0.5"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -323,9 +323,9 @@ def test_witness_without_segment_weight(tmp_path):
     assert s0 is None
 
 
-@pytest.mark.parametrize("builder", [two_qubit_decomposition, lambda: qudit_decomposition(3)])
-def test_decomposition_round_trip(tmp_path, builder):
-    dec = builder()
+@pytest.mark.parametrize("d", [2, 3])
+def test_decomposition_round_trip(tmp_path, d):
+    dec = qudit_decomposition(d)
     path = tmp_path / "dec.json"
     wio.save_decomposition(path, dec)
     back = wio.load_decomposition(path)

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from witgeo import measurements
 from witgeo.linalg import DensityState, SystemShape, tensor
 from witgeo.measurements import (
-    _PAULI_BASES,
+    _xy_axis_basis,
     MeasurementSetting,
     WitnessDecomposition,
     complete_basis,
@@ -22,7 +22,6 @@ from witgeo.measurements import (
     standard_witness,
     three_qubit_decomposition,
     three_qubit_witness,
-    two_qubit_decomposition,
 )
 from witgeo.states import (
     PAULI_X,
@@ -66,34 +65,36 @@ def setting_residuals(setting):
     return comp, orth
 
 
-def test_pauli_bases_match_eigh_columns():
-    # the literal bases carry the phases and zero signs eigh gives for (I +- sigma)/2
-    for axis, sigma in (("x", PAULI_X), ("y", PAULI_Y)):
-        cols = [np.linalg.eigh((np.eye(2) + s * sigma) / 2)[1][:, -1] for s in (1, -1)]
-        assert _PAULI_BASES[axis].tobytes() == np.column_stack(cols).tobytes()
+def test_axis_bases_project_onto_pauli_eigenvectors():
+    # phases are free; each column's projector is (I +- sigma)/2, the +1 eigenvector first
+    for phi, sigma in ((0.0, PAULI_X), (np.pi / 2, PAULI_Y)):
+        u = _xy_axis_basis(phi)
+        for col, sign in enumerate((1, -1)):
+            proj = np.outer(u[:, col], u[:, col].conj())
+            assert np.abs(proj - (np.eye(2) + sign * sigma) / 2).max() <= 1e-15
 
 
 class TestTwoQubit:
     def test_three_settings(self):
-        assert len(two_qubit_decomposition().settings) == 3
+        assert len(qudit_decomposition(2).settings) == 3
 
     def test_setting_invariants(self):
-        for setting in all_settings(two_qubit_decomposition()):
+        for setting in all_settings(qudit_decomposition(2)):
             comp, orth = setting_residuals(setting)
             assert comp <= 1e-10
             assert orth <= 1e-10
 
     def test_reassembled_separable_state(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         tau = sum(setting.weighted_sum() for setting in all_settings(dec)) / 3
         assert np.abs(tau - closest_separable(max_entangled(2)).mat).max() <= 1e-12
 
     def test_reconstruction_matches_witness_matrix(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         assert np.abs(dec.matrix() - W2Q).max() <= 1e-12
 
     def test_expectation_through_settings(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         rho = max_entangled(2)
         # 2/3 - 2 * Tr(tau0 rho0) with the overlap equal to 1/2
         value = dec.identity_coeff + sum(
@@ -102,7 +103,7 @@ class TestTwoQubit:
         assert value == pytest.approx(-1 / 3, abs=1e-12)
 
     def test_correlation_pattern(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         weights = [s.weights for s in all_settings(dec)]
         for w in weights[:2]:  # z and x weight equal outcomes
             assert w[0, 0] == w[1, 1] == 0.5
@@ -166,9 +167,10 @@ class TestQudit:
             qudit_decomposition(4)
 
     def test_two_routes_to_qubit(self):
-        assert np.abs(
-            qudit_decomposition(2).matrix() - two_qubit_decomposition().matrix()
-        ).max() == 0.0
+        # the GHZ settings of n = 2 against the qudit tau0 and the GHZ route's own check
+        got = qudit_decomposition(2).matrix()
+        assert np.abs(got - standard_witness(2).matrix).max() <= 1e-15
+        assert np.abs(got - ghz_decomposition(2).decomposition.matrix()).max() <= 1e-15
 
     @pytest.mark.parametrize("d", (3, 5, 7, 11, 13, 31))
     def test_eigenbases_diagonalize_generators(self, d):
@@ -288,13 +290,13 @@ class TestFarFace:
 class TestShotEstimate:
     def test_bell_state_is_deterministic(self):
         # every setting value is constant on the target state's support
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         est = shot_estimate(dec, max_entangled(2), 1000, seed=5)
         assert est.estimate == pytest.approx(-1 / 3, abs=1e-15)
         assert est.stderr == 0.0
 
     def test_unbiased_on_noisy_state(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         d0 = completely_random((2, 2))
         est = shot_estimate(dec, d0, 100000, seed=6)
         assert est.stderr > 0
@@ -311,7 +313,7 @@ class TestShotEstimate:
         assert a != c
 
     def test_stderr_scaling(self):
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         d0 = completely_random((2, 2))
         ladder = [1000, 10000, 100000]
         errs = [shot_estimate(dec, d0, s, seed=8).stderr for s in ladder]
@@ -320,11 +322,11 @@ class TestShotEstimate:
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            shot_estimate(two_qubit_decomposition(), max_entangled(2), 0, seed=1)
+            shot_estimate(qudit_decomposition(2), max_entangled(2), 0, seed=1)
 
     def test_broken_setting_guard(self):
         # bypass validation to plant a non-normalized outcome distribution
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         bad = MeasurementSetting.__new__(MeasurementSetting)
         u = np.eye(2, dtype=complex) * np.sqrt(0.9)  # not a basis: probs sum to 0.81
         object.__setattr__(bad, "party_bases", (u, u))
@@ -335,7 +337,7 @@ class TestShotEstimate:
 
     def test_nan_setting_guard(self):
         # a NaN basis entry makes the probability sum NaN, which no tolerance test passes
-        dec = two_qubit_decomposition()
+        dec = qudit_decomposition(2)
         bad = MeasurementSetting.__new__(MeasurementSetting)
         u = np.eye(2, dtype=complex)
         u[0, 1] = np.nan

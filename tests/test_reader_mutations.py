@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from witgeo import io as wio
 from witgeo.cli import main
-from witgeo.measurements import qudit_decomposition, standard_witness, two_qubit_decomposition
+from witgeo.measurements import qudit_decomposition, standard_witness
 from witgeo.upb import tiles
 
 from upb_document import upb_doc
@@ -71,7 +71,7 @@ def _mutations(doc: dict, tokens: list[str]):
     )
 
 
-DOC = _stored_document(wio.save_decomposition, two_qubit_decomposition())
+DOC = _stored_document(wio.save_decomposition, qudit_decomposition(2))
 NUMBERS = [p for p, v in _walk(DOC) if type(v) in (int, float)]
 MUTATIONS = _mutations(DOC, TOKENS)
 WITNESS_DOC = _stored_document(wio.save_witness, standard_witness(2))

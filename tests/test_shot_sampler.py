@@ -32,7 +32,6 @@ from witgeo.measurements import (
     standard_witness,
     three_qubit_decomposition,
     three_qubit_witness,
-    two_qubit_decomposition,
 )
 from witgeo.states import completely_random
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
@@ -51,7 +50,7 @@ def _far_face():
 
 
 TARGETS = {
-    "bell2": lambda: (standard_witness(2), two_qubit_decomposition()),
+    "bell2": lambda: (standard_witness(2), qudit_decomposition(2)),
     **{
         f"qudit{d}": lambda d=d: (standard_witness(d), qudit_decomposition(d))
         for d in (3, 5, 7, 11, 13)

@@ -113,6 +113,23 @@ def test_settings_build_no_joint_isometry():
     assert not found, f"tensor calls in measurements.py: {found}"
 
 
+def test_no_literal_basis_tables():
+    # qubit and qudit bases come from their closed forms (spin.eigenbasis and
+    # the equatorial axis bases), not from hand-typed module-level arrays
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("measurements.py", "spin.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "array"
+            for sub in ast.walk(node.value)
+        )
+    ]
+    assert not found, f"module-level array literals in spin.py or measurements.py: {found}"
+
+
 # Public names that nothing calls yet: the GHZ segment state tau~0, which
 # ROADMAP item 7 wires into the witness report.
 AWAITING_CALLERS = {"ghz_segment_state"}
