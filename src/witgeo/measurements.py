@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, hs_inner
+from .linalg import BadInput, DensityState
 from .spin import eigenbasis
 from .states import (
     closest_separable,
@@ -41,7 +41,7 @@ from .states import (
     max_entangled,
     three_qubit_separable_candidates,
 )
-from .witness import DETECTION_TOL, Witness, _hyperplane, nearest_witness
+from .witness import Witness, nearest_witness
 
 if TYPE_CHECKING:
     from .upb import UpbSet
@@ -388,11 +388,7 @@ def three_qubit_witness(m: float, t: float) -> Witness:
     with c0 = t/4.  It is not positive on product states, so it is not a
     witness: W = (t/4)[I - (XXX + XYY - YXY - YYX)] has product-state
     floor (t/4)(1 - sqrt(2)), reached at Bloch angles theta_k = pi/4,
-    phi = (pi/4, -pi/4, -pi/4).  Its detection value Tr(W rho) = -2 t^2 must
-    lie below -DETECTION_TOL, so t below about 7.07e-6 is bad input.
+    phi = (pi/4, -pi/4, -pi/4).
     """
     cands = three_qubit_separable_candidates(m, t)
-    c0, w = _hyperplane(cands.rho, cands.nearest)
-    if hs_inner(w, cands.rho.mat).real >= -DETECTION_TOL:  # the detection test verify applies
-        raise BadInput(f"t = {t} is too small for the witness to detect its target")
-    return Witness(matrix=w, c0=c0, rho0=cands.rho, tau0=cands.nearest)
+    return nearest_witness(cands.rho, cands.nearest)

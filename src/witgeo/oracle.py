@@ -67,8 +67,8 @@ MAX_RESTARTS = 256
 
 @dataclass(frozen=True)
 class SeeSawConfig:
-    restarts: int = 32
-    seed: int = 0
+    restarts: int
+    seed: int
 
     def __post_init__(self):
         if not 1 <= self.restarts <= MAX_RESTARTS:
@@ -90,7 +90,7 @@ class MinProductsResult:
         )
 
 
-def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> MinProductsResult:
+def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResult:
     """See-saw minimization of Tr(H pi) over product projections pi.
 
     Each pass holds all parties but one fixed; the optimal local vector
@@ -107,7 +107,6 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> M
     entries with linalg.tensor, for one batched eigh; a restart leaves
     once a sweep gains less than _SWEEP_TOL.
     """
-    cfg = cfg or SeeSawConfig()
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("objective matrix must be Hermitian")

@@ -19,12 +19,13 @@ witness
 detects rho0 while staying nonnegative on the separable set.  It
 coincides with the hyperplane form tau0 + c0*I - rho0 through the segment
 point tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m; far_face_witness
-checks that coincidence once, on construction.
+checks that coincidence once, on construction.  Like every Witness it
+needs Tr(W rho0) = -eps^2 N/(m(N-m)) < -DETECTION_TOL, so a tiny eps is bad input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .linalg import BadInput, DensityState, ProductProjection, SystemShape, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
-from .witness import Witness, _hyperplane
+from .witness import Witness, nearest_witness
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class EpsilonEstimate(NamedTuple):
     restarts: int
 
 
-def estimate_epsilon(upb: UpbSet, restarts: int = 64, seed: int = 0) -> EpsilonEstimate:
+def estimate_epsilon(upb: UpbSet, restarts: int, seed: int) -> EpsilonEstimate:
     """Estimate eps = m * inf Tr(mu0 sigma) over product states by see-saw.
 
     The returned value is an upper bound on the true infimum (restart
@@ -152,11 +153,10 @@ def estimate_epsilon(upb: UpbSet, restarts: int = 64, seed: int = 0) -> EpsilonE
 def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     """Witness eps*N/(N-m) * (mu0 - eps/m * I) for the UPB's bound entangled state.
 
-    The hyperplane data are tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m
-    and its c0; the closed form must equal tau0 + c0 I - rho0, and it is the
-    stored matrix.  Detection is decided on the closed form: near eps = 0
-    the hyperplane form's Tr(W rho0) ~ -eps^2 is below its rounding.
-    (tau0 is a hyperplane intersection point here, not itself separable.)
+    nearest_witness gives c0 and tau0 + c0 I - rho0 at the segment point
+    tau0 = (1-s0) I/N + s0 rho0, s0 = 1 - eps*N/m; the closed form must
+    equal that matrix, and it is the stored one.  (tau0 is a hyperplane
+    intersection point here, not itself separable.)
     """
     n = upb.shape.size
     m = upb.m
@@ -168,8 +168,8 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
 
     s0 = 1.0 - eps * n / m
     tau0 = DensityState((1 - s0) * np.eye(n) / n + s0 * rho0.mat, upb.shape)
-    c0, w = _hyperplane(rho0, tau0)
-    dev = np.abs(closed - w).max()
+    hp = nearest_witness(rho0, tau0)
+    dev = np.abs(closed - hp.matrix).max()
     if dev > 1e-10:
         raise AssertionError(f"far-face witness deviates from tau0 + c0 I - rho0 by {dev:.3e}")
-    return Witness(matrix=closed, c0=c0, rho0=rho0, tau0=tau0, s0=s0)
+    return replace(hp, matrix=closed, s0=s0)

@@ -14,9 +14,11 @@ The induced-inner-product identity
 
 holds for every rho; identity_deviation is its worst case over all states,
 which verify checks.  nearest_witness is the one place W and c0 are
-computed; a Witness only checks that it detects its target.  The paper's
-route through the last separable point on the segment from I/N to rho0
-gives the same observable; the tests keep it as a reference route.
+computed.  A Witness exists only if Tr(W rho0) < -DETECTION_TOL, the
+rule verify applies; else BadInput, which only input can cause (a tiny
+threeq t or far-face eps).  The paper's route through the last separable
+point on the segment from I/N to rho0 gives the same observable; the
+tests keep it as a reference route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .linalg import BadInput, DensityState, hs_inner
 
 # An expectation value this far below zero counts as detection; anything
-# closer to zero is treated as eigensolver noise.
+# closer to zero is treated as rounding noise.
 DETECTION_TOL = 1e-10
 
 
@@ -47,8 +49,10 @@ class Witness:
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        if hs_inner(mat, self.rho0.mat).real >= 0:
-            raise ValueError("witness does not detect its target state")
+        value = hs_inner(mat, self.rho0.mat).real
+        if not value < -DETECTION_TOL:
+            msg = f"Tr(W rho0) = {value:.3e} is not below -{DETECTION_TOL:g}"
+            raise BadInput(f"witness does not detect its target: {msg}")
 
     @property
     def n(self) -> int:
@@ -59,21 +63,14 @@ class Witness:
         return self.rho0.dims
 
 
-def _hyperplane(rho0: DensityState, tau0: DensityState) -> tuple[float, np.ndarray]:
-    """c0 and W = tau0 + c0*I - rho0 of the hyperplane with normal rho0 - tau0."""
+def nearest_witness(rho0: DensityState, tau0: DensityState) -> Witness:
+    """W = tau0 + c0*I - rho0, c0 = Tr[tau0 (rho0 - tau0)]: the hyperplane through
+    tau0 with normal rho0 - tau0.  rho0 = tau0 gives W = 0, which Witness rejects.
+    """
     if rho0.dims != tau0.dims:
         raise ValueError(f"shape mismatch: {rho0.dims} vs {tau0.dims}")
     c0 = hs_inner(tau0.mat, rho0.mat - tau0.mat).real
-    return c0, tau0.mat + c0 * np.eye(rho0.n) - rho0.mat
-
-
-def nearest_witness(rho0: DensityState, tau0: DensityState) -> Witness:
-    """Witness through the closest separable state (hyperplane normal rho0 - tau0).
-
-    rho0 = tau0 gives W = 0, which the detection check rejects.
-    """
-    c0, w = _hyperplane(rho0, tau0)
-    return Witness(matrix=w, c0=c0, rho0=rho0, tau0=tau0)
+    return Witness(tau0.mat + c0 * np.eye(rho0.n) - rho0.mat, c0, rho0, tau0)
 
 
 def evaluate(w: Witness, rho) -> float:

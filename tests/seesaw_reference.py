@@ -20,9 +20,8 @@ def _local_operator(h: np.ndarray, vecs: list[np.ndarray], k: int) -> np.ndarray
     return cols.conj().T @ h @ cols
 
 
-def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig | None = None) -> MinProductsResult:
+def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResult:
     """See-saw minimization of Tr(H pi) over product projections pi, restart by restart."""
-    cfg = cfg or SeeSawConfig()
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("objective matrix must be Hermitian")

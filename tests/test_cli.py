@@ -25,7 +25,7 @@ from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
 
 from upb_document import pairs, upb_doc
-from upb_ladder import pyramid, shifts
+from upb_ladder import pyramid, rotated_shifts, shifts
 
 
 def run(capsys, *argv):
@@ -168,6 +168,36 @@ class TestUpbLadder:
         assert abs(doc["checks"]["positive_on_products"]["value"]) <= 1e-12
         code, _ = run(capsys, "estimate", *target)
         assert code == 0
+
+    def test_rotated_shifts_accepted_exactly_where_verify_detects(self, capsys, tmp_path):
+        # eps, and with it the far-face detection value -eps^2 N/(m(N-m)), goes
+        # to 0 with theta; every command must reject the same theta, those whose
+        # target verify's detects_target check would not count as detected
+        path = tmp_path / "upb.json"
+        thetas = np.linspace(0.05, 0.3, 11)
+        accepted = []
+        for i, theta in enumerate(thetas):
+            path.write_text(json.dumps(upb_doc(rotated_shifts(theta))))
+            target = ("upb", str(path), "--seed", "1")
+            out = ("--out", str(tmp_path))
+            argvs = [("witness", *target, *out), ("decompose", *target, *out),
+                     ("estimate", *target), ("verify", *target)]
+            codes = []
+            for argv in argvs:
+                codes.append(main(list(argv)))
+                stdout, err = capsys.readouterr()
+                if codes[-1] == 2:
+                    assert "witness does not detect its target" in err, (theta, argv[0], err)
+                elif argv[0] == "witness":
+                    value = json.loads(stdout)["outputs"]["detection_value"]["value"]
+                    assert value < -witness_module.DETECTION_TOL, (theta, value)
+                elif argv[0] == "verify":
+                    assert json.loads(stdout)["checks"]["detects_target"]["passed"], theta
+            assert codes in ([2] * 4, [0] * 4), (theta, codes)
+            if codes[0] == 0:
+                accepted.append(i)
+        # theta from 0.05 to 0.15 lies below the edge near 0.157 at this seed
+        assert accepted == list(range(5, len(thetas))), thetas[accepted]
 
     @pytest.mark.parametrize("family", [shifts, pyramid])
     def test_minus_one_vector_is_extendible(self, capsys, tmp_path, family):
@@ -645,7 +675,7 @@ def test_threeq_parameters_give_states_or_bad_input(m, t):
 
 
 # Half-decades of t from 1e-320 to 1e-4: the detection value -2 t^2 crosses
-# -DETECTION_TOL at t = 7.07e-6, and witness must accept exactly the t below it
+# -DETECTION_TOL at t = 7.07e-6, and witness must accept exactly the t above it
 # that verify's detects_target check counts as detected
 DETECTION_GRID = [repr(10 ** (k / 2)) for k in range(-640, -7)]
 
@@ -659,7 +689,7 @@ def test_threeq_accepts_exactly_the_detected_t(m):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["witness", "threeq", m, t, "--out", tmp])
             if code == 2:
-                assert f"t = {t} is too small" in err.getvalue()
+                assert "witness does not detect its target: Tr(W rho0) = " in err.getvalue()
                 continue
             assert code == 0, err.getvalue()
             value = json.loads(out.getvalue())["outputs"]["detection_value"]["value"]

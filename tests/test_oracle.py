@@ -45,6 +45,15 @@ class TestPptReport:
             for d in np.linspace(-0.125, 0.125, 5):
                 assert ppt_report(three_qubit_family(c, d)).minimum >= -1e-10
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_ghz_every_cut_is_minus_half(self, n):
+        # the partial transpose of GHZ on any proper cut moves the two corner
+        # coherences into a 2 x 2 block [[0, 1/2], [1/2, 0]]: lowest eigenvalue -1/2
+        report = ppt_report(ghz(n))
+        assert len(report.min_eigenvalues) == 2 ** (n - 1) - 1
+        for cut, value in report.min_eigenvalues.items():
+            assert value == pytest.approx(-0.5, abs=1e-12), cut
+
 
 class TestMinOverProducts:
     def test_constant_objective(self):
@@ -99,7 +108,7 @@ class TestMinOverProducts:
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            min_over_products(tensor(bad, np.eye(2)), (2, 2))
+            min_over_products(tensor(bad, np.eye(2)), (2, 2), SeeSawConfig(restarts=1, seed=0))
 
     def test_three_qubit_witness_true_floor(self):
         # The constructed three-qubit witness plane cuts into the product

@@ -35,7 +35,9 @@ TOL_PSD = 1e-9
 SPECTRUM_MAX_N = 1024
 QUDIT_DIMS = [d for d in range(2, math.isqrt(MAX_SIZE) + 1) if is_prime(d)]
 GHZ_PARTIES = range(2, MAX_SIZE.bit_length())  # up to 2^n = MAX_SIZE
-TILES_EPS = [1e-9, 0.028416, 5 / 9 * (1 - 1e-9)]  # (0, m/N) with both ends
+# far-face eps from just above the edge where Tr(W rho0) = -eps^2 N/(m(N-m))
+# reaches -DETECTION_TOL, eps = sqrt(1e-10 * 20/9) ~ 1.49e-5, to just below m/N
+TILES_EPS = [1.5e-5, 0.028416, 5 / 9 * (1 - 1e-9)]
 
 
 # Terms positive semidefinite by their form: ("diag", d) is diag(d) with d >= 0,

@@ -198,3 +198,19 @@ def test_exceptions_handled_only_at_the_edge():
     ]
     handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
     assert [ast.unparse(h.type) for h in handlers] == ["(BadInput, OSError)", "Exception"]
+
+
+def test_no_private_imports_across_modules():
+    # a name with a leading underscore belongs to its module: another module
+    # that needs it calls the public function built on it, so each formula
+    # has one home and one set of checks
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "witgeo")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported from another package module: {found}"

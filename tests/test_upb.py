@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import SystemShape, hs_inner, partial_transpose
+from witgeo.linalg import BadInput, SystemShape, hs_inner, partial_transpose
 from witgeo.states import completely_random
 from witgeo.upb import (
     UpbSet,
@@ -13,7 +13,7 @@ from witgeo.upb import (
     tiles,
     uniform_mixture,
 )
-from witgeo.witness import evaluate
+from witgeo.witness import DETECTION_TOL, evaluate
 
 import upb_reference
 from paper_states import reweighted_bound_entangled
@@ -144,11 +144,20 @@ class TestFarFaceWitness:
         assert evaluate(w, w.rho0) == pytest.approx(want, abs=1e-12)
 
     def test_detects_at_small_eps(self, tiles_upb):
-        # Tr(W rho0) = -eps^2 N/(m(N-m)) sinks below the rounding of the hyperplane
-        # form tau0 + c0 I - rho0 near eps = 1e-9; the closed form still resolves it
-        for eps in np.logspace(-11, -8, 13):
-            w = far_face_witness(tiles_upb, eps)
-            assert evaluate(w, w.rho0) == pytest.approx(-eps * eps * 9 / 20, rel=1e-6)
+        # Tr(W rho0) = -eps^2 N/(m(N-m)) crosses -DETECTION_TOL at the edge
+        # eps = sqrt(1e-10 * 20/9) ~ 1.49e-5: below it there is no witness
+        edge = np.sqrt(DETECTION_TOL * 20 / 9)
+        for eps in np.logspace(-11, -3, 17):
+            if eps < edge:
+                with pytest.raises(BadInput, match="does not detect its target"):
+                    far_face_witness(tiles_upb, eps)
+            else:
+                w = far_face_witness(tiles_upb, eps)
+                assert evaluate(w, w.rho0) == pytest.approx(-eps * eps * 9 / 20, rel=1e-6)
+        with pytest.raises(BadInput):
+            far_face_witness(tiles_upb, edge * (1 - 1e-3))
+        w = far_face_witness(tiles_upb, edge * (1 + 1e-3))
+        assert evaluate(w, w.rho0) < -DETECTION_TOL
 
     def test_vanishes_on_argmin(self, tiles_upb, eps_estimate):
         w = far_face_witness(tiles_upb, eps_estimate.epsilon)

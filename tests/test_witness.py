@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import DensityState, SystemShape, hs_inner
+from witgeo.linalg import BadInput, DensityState, SystemShape, hs_inner
 from witgeo.measurements import ghz_witness, standard_witness, three_qubit_witness
+from witgeo.spin import is_prime
 from witgeo.states import (
     closest_separable,
     completely_random,
@@ -255,6 +256,25 @@ class TestWitnessInvariants:
         closed = eps * 9 / 4 * (uniform_mixture(upb).mat - eps / 5 * np.eye(9))
         assert np.array_equal(far.matrix, closed)
         assert np.array_equal(far.rho0.mat, bound_entangled(upb).mat)
+
+    def test_closed_form_targets_detect_with_margin(self):
+        # Tr(W rho0) = -||rho0 - tau0||^2 sits at least 1/3 below zero for every
+        # closed-form target, so the detection check in Witness never binds on them
+        witnesses = [standard_witness(2)]
+        witnesses += [standard_witness(d) for d in range(3, 32) if is_prime(d)]
+        witnesses += [ghz_witness(n).witness for n in range(2, 11)]
+        for w in witnesses:
+            assert evaluate(w, w.rho0) <= -0.33, w.dims
+
+    def test_detection_rule_is_verify_rule(self):
+        # a Witness exists only if Tr(W rho0) < -DETECTION_TOL, the rule of
+        # verify's detects_target check; the message names value and tolerance
+        w = bell_witness()  # Tr(W rho0) = -1/3; adding c*I moves it to c - 1/3
+        mat = w.matrix + (1 / 3 - 0.5 * DETECTION_TOL) * np.eye(4)
+        with pytest.raises(BadInput, match=r"Tr\(W rho0\) = -5.000e-11 is not below -1e-10"):
+            Witness(mat, w.c0, w.rho0, w.tau0)
+        mat = w.matrix + (1 / 3 - 2 * DETECTION_TOL) * np.eye(4)
+        assert evaluate(Witness(mat, w.c0, w.rho0, w.tau0), w.rho0) < -DETECTION_TOL
 
     def test_three_qubit_detection_is_mean_independent(self):
         t = 0.08
