@@ -78,14 +78,14 @@ def _build_target(args) -> Target:
         w = standard_witness(2)
         return Target("bell2", w, lambda: qudit_decomposition(2), {})
     if kind == "qudit":
-        d = _positive_int(args.params, 0, "d")
+        d = _int_param(args.params, 0, "d")
         _check_size(d * d, f"{d}^2")
         if not is_prime(d):
             raise BadInput(f"qudit dimension must be prime, got {d}")
         w = standard_witness(d)
         return Target(f"qudit{d}", w, lambda: qudit_decomposition(d), {})
     if kind == "ghz":
-        n = _positive_int(args.params, 0, "n")
+        n = _int_param(args.params, 0, "n")
         _check_size(2 ** min(n, 13), f"2^{n}")  # capped: 2^n of a huge n is itself huge
         g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
@@ -101,18 +101,19 @@ def _build_target(args) -> Target:
     upb = tiles() if source == "tiles" else wio.load_upb(source)
     dims = upb.shape.dims
     _check_size(math.prod(dims), "x".join(map(str, dims)))
-    est = estimate_epsilon(upb, restarts=args.restarts, seed=args.seed)
+    eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=args.restarts, seed=args.seed))
     extras = {
-        "epsilon": est.epsilon,
-        "consensus": f"{est.consensus}/{est.restarts}",
+        "epsilon": eps,
+        "consensus": f"{seesaw.consensus}/{seesaw.restarts}",
         "m": upb.m,
         "N": upb.shape.size,
     }
-    w = far_face_witness(upb, est.epsilon)
-    return Target("upb", w, lambda: far_face_decomposition(upb, est.epsilon), extras)
+    w = far_face_witness(upb, eps)
+    return Target("upb", w, lambda: far_face_decomposition(upb, eps), extras)
 
 
-def _positive_int(params, idx, name) -> int:
+def _int_param(params, idx, name) -> int:
+    """An integer from command-line text; the builders check its range."""
     try:
         return int(params[idx])
     except (IndexError, ValueError):
@@ -299,7 +300,7 @@ def cmd_threshold(args) -> tuple:
         value = two_qubit_noise_threshold(a / norm, b / norm, delta)
         outputs = {"threshold": _scalar(value, tol=1e-15)}
     elif kind == "qudit":
-        d = _positive_int(args.params, 0, "d")
+        d = _int_param(args.params, 0, "d")
         amps = _parse_amps(args.params[1]) if len(args.params) > 1 else None
         if amps is None:
             raise BadInput("qudit threshold needs amplitudes (file or comma list)")

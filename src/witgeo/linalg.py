@@ -135,7 +135,9 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))  # vdot conjugates a and sums entrywise
+    # numpy's pairwise sum, not np.vdot: vdot calls a BLAS dot whose result
+    # depends on the BLAS thread count, and reports must not
+    return complex(np.sum(a.conj() * b))
 
 
 def partial_transpose(mat: np.ndarray, parties, dims) -> np.ndarray:
@@ -154,7 +156,7 @@ def partial_transpose(mat: np.ndarray, parties, dims) -> np.ndarray:
     return t.transpose(perm).reshape(mat.shape)
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+    return bool(np.abs(a - a.conj().T).max() <= TOL_HERM)
 

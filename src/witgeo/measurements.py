@@ -130,9 +130,8 @@ class WitnessDecomposition:
             out += sw * setting.weighted_sum()
         return out
 
-    def residual(self, w) -> float:
-        target = w.matrix if isinstance(w, Witness) else np.asarray(w)
-        return float(np.abs(self.matrix() - target).max())
+    def residual(self, w: Witness) -> float:
+        return float(np.abs(self.matrix() - w.matrix).max())
 
 
 def _parity_weights(n: int, parity: int, weight: float) -> np.ndarray:

@@ -6,7 +6,7 @@ Bipartite side: maximally entangled qudit states, Schmidt-diagonal pure
 states and the closest separable state of the maximally entangled one.
 Multipartite side: the n-qubit GHZ family with its dephased and
 corner-correlated separable companions, and the two-parameter
-three-qubit bound entangled family with its separable candidates.
+three-qubit bound entangled family rho(m, t) with its separable candidates.
 
 Every constructor but pauli_parity_state (a bare 8 x 8 matrix) returns a
 DensityState, a convex combination of positive semidefinite matrices by its
@@ -146,26 +146,21 @@ def _anti_diagonal_density(fv) -> np.ndarray:
     return mat
 
 
-def three_qubit_family(c: float, d: float) -> DensityState:
-    """Three-qubit PPT family: diagonal 1/8, anti-diagonal (d, c, 1/8, 1/8).
+def three_qubit_family(m: float, t: float) -> DensityState:
+    """Three-qubit PPT family: diagonal 1/8, anti-diagonal (m - t, m + t, 1/8, 1/8).
 
-    The constructor cross-checks the matrix against the independent
-    expansion in parity states with m = (c+d)/2, t = (c-d)/2:
+    The region is |m| + |t| <= 1/8; outside it the matrix is not a state,
+    and the constructor raises BadInput.  It cross-checks the matrix
+    against the independent expansion in parity states
 
         (1/2+4m)*P+(111) + (1/2-4m)*P-(221) + 4t*(P-(212) + P+(122)) - 8t*I/8
 
-    and raises on disagreement.  For the mirrored branch (d > c) the same
-    family applies with the roles of the two inner anti-diagonal entries
-    exchanged, which amounts to swapping the arguments.
+    and raises on disagreement.  t < 0 is the mirrored branch, with the
+    two inner anti-diagonal entries exchanged.
     """
-    if not (-0.125 - 1e-12 <= c <= 0.125 + 1e-12) or not (
-        -0.125 - 1e-12 <= d <= 0.125 + 1e-12
-    ):
-        raise ValueError(f"parameters must lie in [-1/8, 1/8], got c={c}, d={d}")
-    mat = _anti_diagonal_density((d, c, 0.125, 0.125))
-
-    m = (c + d) / 2
-    t = (c - d) / 2
+    if not abs(m) + abs(t) <= 0.125 + 1e-12:
+        raise BadInput(f"(m={m}, t={t}) leaves the family's region |m| + |t| <= 1/8")
+    mat = _anti_diagonal_density((m - t, m + t, 0.125, 0.125))
     via_parity = (
         (0.5 + 4 * m) * pauli_parity_state(1, 1, 1, +1)
         + (0.5 - 4 * m) * pauli_parity_state(2, 2, 1, -1)
@@ -176,11 +171,6 @@ def three_qubit_family(c: float, d: float) -> DensityState:
     if dev > 1e-12:
         raise AssertionError(f"internal decomposition mismatch: {dev:.3e}")
     return DensityState(mat, SystemShape((2, 2, 2)))
-
-
-def three_qubit_family_mt(m: float, t: float) -> DensityState:
-    """Same family in the symmetric parameters m = (c+d)/2, t = (c-d)/2."""
-    return three_qubit_family(m + t, m - t)
 
 
 class SeparableCandidates(NamedTuple):
@@ -206,9 +196,7 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
     """
     if t <= 0:
         raise BadInput("t must be positive; use the mirrored parameters for t < 0")
-    if not abs(m) + t <= 0.125 + 1e-12:  # the family's region; implies nearest's |m| + t/2 <= 1/8
-        raise BadInput(f"(m={m}, t={t}) leaves the family's region |m| + t <= 1/8")
-    rho = three_qubit_family_mt(m, t)
+    rho = three_qubit_family(m, t)  # checks the region, which implies nearest's |m| + t/2 <= 1/8
     nearest = DensityState(
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),
         SystemShape((2, 2, 2)),

@@ -21,17 +21,19 @@ coincides with the hyperplane form tau0 + c0*I - rho0 through the segment
 point tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m; far_face_witness
 checks that coincidence once, on construction.  Like every Witness it
 needs Tr(W rho0) = -eps^2 N/(m(N-m)) < -DETECTION_TOL, so a tiny eps is bad input.
+estimate_epsilon runs the see-saw under the caller's SeeSawConfig and
+returns eps together with the see-saw's own MinProductsResult (value
+eps/m, argmin, consensus and every restart's value).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, ProductProjection, SystemShape, tensor
+from .linalg import BadInput, DensityState, SystemShape, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
 from .witness import Witness, nearest_witness
 
@@ -120,25 +122,16 @@ def bound_entangled(upb: UpbSet) -> DensityState:
     return DensityState(mat, upb.shape)
 
 
-class EpsilonEstimate(NamedTuple):
-    epsilon: float
-    argmin: ProductProjection
-    consensus: int
-    restarts: int
-
-
-def estimate_epsilon(upb: UpbSet, restarts: int, seed: int) -> EpsilonEstimate:
+def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProductsResult]:
     """Estimate eps = m * inf Tr(mu0 sigma) over product states by see-saw.
 
-    The returned value is an upper bound on the true infimum (restart
-    consensus is the confidence proxy).  A value at numerical zero
-    contradicts unextendibility and is rejected; so is a value outside
-    the bracket (0, m/N) required for the far-face witness.
+    Returns eps with the see-saw's own result, whose value is eps/m.  eps
+    is an upper bound on the true m * infimum (restart consensus is the
+    confidence proxy).  A value at numerical zero contradicts
+    unextendibility and is rejected; so is a value outside the bracket
+    (0, m/N) required for the far-face witness.
     """
-    mu = uniform_mixture(upb)
-    res: MinProductsResult = min_over_products(
-        mu.mat, upb.shape.dims, SeeSawConfig(restarts=restarts, seed=seed)
-    )
+    res = min_over_products(uniform_mixture(upb).mat, upb.shape.dims, cfg)
     if res.value <= 1e-12:
         raise BadInput(
             "minimum product overlap is numerically zero; the family is extendible "
@@ -147,7 +140,7 @@ def estimate_epsilon(upb: UpbSet, restarts: int, seed: int) -> EpsilonEstimate:
     eps = upb.m * res.value
     if not eps < upb.m / upb.shape.size:
         raise AssertionError(f"eps = {eps} exceeds its bracket m/N")
-    return EpsilonEstimate(eps, res.argmin, res.consensus, res.restarts)
+    return eps, res
 
 
 def far_face_witness(upb: UpbSet, eps: float) -> Witness:

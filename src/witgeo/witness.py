@@ -73,10 +73,9 @@ def nearest_witness(rho0: DensityState, tau0: DensityState) -> Witness:
     return Witness(tau0.mat + c0 * np.eye(rho0.n) - rho0.mat, c0, rho0, tau0)
 
 
-def evaluate(w: Witness, rho) -> float:
+def evaluate(w: Witness, rho: DensityState) -> float:
     """Expectation value Tr(W rho)."""
-    mat = rho.mat if isinstance(rho, DensityState) else rho
-    return float(hs_inner(w.matrix, mat).real)  # raises on a shape mismatch
+    return float(hs_inner(w.matrix, rho.mat).real)  # raises on a shape mismatch
 
 
 def identity_deviation(w: Witness) -> float:
@@ -91,7 +90,7 @@ def identity_deviation(w: Witness) -> float:
     return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
 
 
-def two_qubit_noise_threshold(a: float, b: float, delta: float = 0.0) -> float:
+def two_qubit_noise_threshold(a: float, b: float, delta: float) -> float:
     """Visibility threshold (1+4*delta)/(4ab+1+4*delta) for two-qubit detection.
 
     For p above the returned value, p*|psi_a><psi_a| + (1-p)*sigma is

@@ -37,7 +37,6 @@ from witgeo.states import (
     max_entangled,
     schmidt_state,
     three_qubit_family,
-    three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
 from witgeo.upb import bound_entangled, estimate_epsilon, far_face_witness, tiles, uniform_mixture
@@ -198,7 +197,7 @@ def test_criterion_05_noise_thresholds():
             p = two_qubit_noise_threshold(a, b, delta) + 0.02
             for seed in range(50):
                 sigma = noise_ball((2, 2), delta, seed)
-                rho = p * target.mat + (1 - p) * sigma.mat
+                rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.shape)
                 total += 1
                 detected += evaluate(w, rho) < -DETECTION_TOL
     crit.check(
@@ -224,7 +223,7 @@ def test_criterion_06_three_qubit_family():
     worst = np.inf
     for c in np.linspace(-0.125, 0.125, 9):
         for d in np.linspace(-0.125, 0.125, 9):
-            worst = min(worst, ppt_report(three_qubit_family(c, d)).minimum)
+            worst = min(worst, ppt_report(three_qubit_family((c + d) / 2, (c - d) / 2)).minimum)
     crit.check("ppt grid", worst >= -1e-10, f"grid minimum {worst:.3e}")
 
     for t in (1 / 32, 1 / 16, 1 / 8):
@@ -236,7 +235,7 @@ def test_criterion_06_three_qubit_family():
     w = three_qubit_witness(0.0, t)
     worst_dev = 0.0
     for m in np.linspace(-0.0625, 0.0625, 5):
-        val = evaluate(w, three_qubit_family_mt(m, t))
+        val = evaluate(w, three_qubit_family(m, t))
         worst_dev = max(worst_dev, abs(val + 2 * t * t))
     crit.check("m-independent detection", worst_dev <= 1e-10, f"worst {worst_dev:.3e}")
 
@@ -290,7 +289,7 @@ def test_criterion_06_three_qubit_family():
 
     # Tr[(rho - tau)(pi* - tau)] = -Tr(W pi*) > 0, so mixing the attaining
     # product into the claimed nearest state moves it closer to rho.
-    rho = three_qubit_family_mt(0.0, t).mat
+    rho = three_qubit_family(0.0, t).mat
     tau = three_qubit_separable_candidates(0.0, t).nearest.mat
     pi_star = product_matrix(res.argmin)
     eps = hs_inner(rho - tau, pi_star - tau).real / np.linalg.norm(pi_star - tau) ** 2
@@ -362,19 +361,18 @@ def test_criterion_08_far_face():
     overlap = abs(hs_inner(mu0.mat, rho0.mat))
     crit.check("orthogonality to mixture", overlap <= 1e-10, f"overlap {overlap:.3e}")
 
-    est = estimate_epsilon(upb, restarts=64, seed=808)
+    eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=64, seed=808))
     crit.check(
         "positive overlap floor",
-        est.epsilon > 1e-3 and est.consensus >= 8,
-        f"eps {est.epsilon:.6f}, consensus {est.consensus}/64",
+        eps > 1e-3 and seesaw.consensus >= 8,
+        f"eps {eps:.6f}, consensus {seesaw.consensus}/64",
     )
     drift = max(
-        abs(estimate_epsilon(upb, restarts=64, seed=s).epsilon - est.epsilon)
+        abs(estimate_epsilon(upb, SeeSawConfig(restarts=64, seed=s))[0] - eps)
         for s in (809, 810)
     )
     crit.check("seed stability", drift <= 1e-8, f"drift {drift:.3e}")
 
-    eps = est.epsilon
     w = far_face_witness(upb, eps)
     val = evaluate(w, rho0)
     want = -eps * eps * n / (m * (n - m))
@@ -434,7 +432,7 @@ def test_criterion_10_global_identity():
     for n in range(2, 7):
         pairs.append((f"ghz{n}", ghz_decomposition(n).witness))
     upb = tiles()
-    eps = estimate_epsilon(upb, restarts=32, seed=1010).epsilon
+    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=32, seed=1010))
     pairs.append(("upb-tiles", far_face_witness(upb, eps)))
 
     rng = np.random.default_rng(1011)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from witgeo import witness as witness_module
 from witgeo.cli import main
 from witgeo.linalg import DensityState
 from witgeo.measurements import ghz_settings, ghz_witness
-from witgeo.oracle import MAX_RESTARTS
+from witgeo.oracle import MAX_RESTARTS, SeeSawConfig
 from witgeo.upb import estimate_epsilon
 from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
@@ -117,12 +120,12 @@ class TestWitnessCommand:
         assert code == 2
 
     def test_threeq_region_names_m_and_t(self, capsys, tmp_path):
-        # |m| + t/2 <= 1/8 holds here, |m| + t <= 1/8 does not
+        # |m| + t/2 <= 1/8 holds here, |m| + |t| <= 1/8 does not
         code = main(["witness", "threeq", "0.1", "0.05", "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert "(m=0.1, t=0.05) leaves the family's region |m| + t <= 1/8" in err
+        assert "(m=0.1, t=0.05) leaves the family's region |m| + |t| <= 1/8" in err
 
     @pytest.mark.parametrize("m,t", [("0", "0.125"), ("0.0625", "0.0625")])
     def test_threeq_region_boundary(self, capsys, tmp_path, m, t):
@@ -286,7 +289,7 @@ class TestVerifyCommand:
         # one restart on seed 3 sets eps = 0.06699, far above the true 0.028416;
         # a see-saw on the stream that set eps would find its own minimum again
         # and pass a witness that is negative on a product state
-        assert estimate_epsilon(upb_tiles(), restarts=1, seed=3).epsilon > 0.05
+        assert estimate_epsilon(upb_tiles(), SeeSawConfig(restarts=1, seed=3))[0] > 0.05
         code, doc = run_json(
             capsys,
             "verify", "upb", "tiles",
@@ -941,3 +944,26 @@ def test_argv_fuzz_never_exits_internal(argv, data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+@pytest.mark.parametrize("target", [("ghz", "8"), ("qudit", "13")], ids=["ghz8", "qudit13"])
+def test_reports_independent_of_blas_thread_count(tmp_path, target):
+    # a threaded BLAS reduction such as np.vdot sums in an order that depends
+    # on the thread count; reports and files must not
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "witgeo.cli", "witness", *target, "--out", str(out)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        report = json.loads(proc.stdout.replace(str(out), "OUT"))
+        del report["wall_time_s"]
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((report, files))
+    assert len(runs[0][1]) == 3
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]

@@ -34,6 +34,7 @@ from witgeo.states import (
     max_entangled,
     pauli_parity_state,
 )
+from witgeo.oracle import SeeSawConfig
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 from witgeo.witness import evaluate
 
@@ -271,9 +272,9 @@ class TestGhz:
 class TestFarFace:
     def test_reconstruction_and_count(self):
         upb = tiles()
-        est = estimate_epsilon(upb, restarts=24, seed=3)
-        w = far_face_witness(upb, est.epsilon)
-        dec = far_face_decomposition(upb, est.epsilon)
+        eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=24, seed=3))
+        w = far_face_witness(upb, eps)
+        dec = far_face_decomposition(upb, eps)
         assert len(dec.settings) == upb.m
         assert dec.residual(w) <= 1e-12
 

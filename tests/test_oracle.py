@@ -36,14 +36,14 @@ class TestPptReport:
         assert report.minimum >= 0.25 - 1e-12
 
     def test_three_party_cut_cover(self):
-        report = ppt_report(three_qubit_family(0.125, -0.125))
+        report = ppt_report(three_qubit_family(0.0, 0.125))
         assert set(report.min_eigenvalues) == {(1,), (2,), (1, 2)}
         assert report.minimum >= -1e-10
 
     def test_family_grid(self):
         for c in np.linspace(-0.125, 0.125, 5):
             for d in np.linspace(-0.125, 0.125, 5):
-                assert ppt_report(three_qubit_family(c, d)).minimum >= -1e-10
+                assert ppt_report(three_qubit_family((c + d) / 2, (c - d) / 2)).minimum >= -1e-10
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_ghz_every_cut_is_minus_half(self, n):
@@ -245,7 +245,7 @@ def test_witness_floor_for_far_face():
     from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 
     upb = tiles()
-    est = estimate_epsilon(upb, restarts=32, seed=14)
-    w = far_face_witness(upb, est.epsilon)
+    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=32, seed=14))
+    w = far_face_witness(upb, eps)
     res = min_over_products(w.matrix, (3, 3), SeeSawConfig(restarts=32, seed=15))
     assert res.value >= -1e-8

@@ -115,7 +115,7 @@ CASES = {
     ],
     # N = 8 and N = 9 below: the spectrum decides, no convex form is needed
     "three_qubit_family": [
-        ((c, d), lambda cd: (three_qubit_family(*cd), None))
+        ((c, d), lambda cd: (three_qubit_family((cd[0] + cd[1]) / 2, (cd[0] - cd[1]) / 2), None))
         for c in (-0.125 - 1e-12, -0.125, -0.0625, 0.0, 0.0625, 0.125, 0.125 + 1e-12)
         for d in (-0.125 - 1e-12, -0.125, 0.0, 0.03125, 0.125, 0.125 + 1e-12)
     ],

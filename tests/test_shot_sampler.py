@@ -34,6 +34,7 @@ from witgeo.measurements import (
     three_qubit_witness,
 )
 from witgeo.states import completely_random
+from witgeo.oracle import SeeSawConfig
 from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 from witgeo.witness import evaluate
 
@@ -45,7 +46,7 @@ def _ghz(n):
 
 def _far_face():
     upb = tiles()
-    eps = estimate_epsilon(upb, restarts=24, seed=3).epsilon
+    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=24, seed=3))
     return far_face_witness(upb, eps), far_face_decomposition(upb, eps)
 
 

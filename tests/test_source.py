@@ -214,3 +214,26 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert not found, f"private names imported from another package module: {found}"
+
+
+# The one default a caller relies on: main() reads sys.argv.
+DEFAULTS_ALLOWED = {"cli.main"}
+
+
+def test_no_defaults_on_public_functions():
+    # every caller of a package function passes each argument, so a default
+    # would be a second form of the call that nothing uses
+    found = [
+        f"{path.stem}.{name}:{func.lineno}"
+        for path in SOURCES
+        for node in _public(ast.parse(path.read_text()).body)
+        for func, name in (
+            [(sub, f"{node.name}.{sub.name}") for sub in _public(node.body)]
+            if isinstance(node, ast.ClassDef)
+            else [(node, node.name)]
+        )
+        if isinstance(func, ast.FunctionDef)
+        and (func.args.defaults or any(func.args.kw_defaults))
+        and f"{path.stem}.{name}" not in DEFAULTS_ALLOWED
+    ]
+    assert not found, f"public functions with default arguments: {found}"

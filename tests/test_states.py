@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import hs_inner, partial_transpose, tensor
+from witgeo.linalg import BadInput, hs_inner, partial_transpose, tensor
 from witgeo.states import (
     PAULI_X,
     PAULI_Y,
@@ -18,7 +18,6 @@ from witgeo.states import (
     pauli_parity_state,
     schmidt_state,
     three_qubit_family,
-    three_qubit_family_mt,
     three_qubit_separable_candidates,
 )
 
@@ -200,14 +199,14 @@ class TestPauliParityState:
 
 class TestThreeQubitFamily:
     def test_four_vector_entries(self):
-        st = three_qubit_family(1 / 8, -1 / 8)
+        st = three_qubit_family(0.0, 1 / 8)
         # anti-diagonal read center-outward: entries (3, 4), (2, 5), (1, 6), (0, 7)
         anti = [st.mat[3 - i, 4 + i].real for i in range(4)]
         assert anti == pytest.approx((-1 / 8, 1 / 8, 1 / 8, 1 / 8))
         assert np.allclose(np.diag(st.mat).real, 1 / 8)
 
     def test_zero_parameters_match_parity_mixture(self):
-        # at c = d = 0 the family is the midpoint of two parity states
+        # at m = t = 0 the family is the midpoint of two parity states
         st = three_qubit_family(0.0, 0.0)
         plus = pauli_parity_state(1, 1, 1, +1)
         minus = pauli_parity_state(2, 2, 1, -1)
@@ -215,20 +214,38 @@ class TestThreeQubitFamily:
 
     def test_equal_parameters_separable(self):
         # t = 0 members are explicit convex combinations of parity states
-        for c in (0.125, 0.05, -0.1):
-            st = three_qubit_family_mt(c, 0.0)
+        for m in (0.125, 0.05, -0.1):
+            st = three_qubit_family(m, 0.0)
             plus = pauli_parity_state(1, 1, 1, +1)
             minus = pauli_parity_state(2, 2, 1, -1)
-            mix = (0.5 + 4 * c) * plus + (0.5 - 4 * c) * minus
+            mix = (0.5 + 4 * m) * plus + (0.5 - 4 * m) * minus
             assert np.abs(st.mat - mix).max() <= 1e-14
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            three_qubit_family(0.2, 0.0)
+        # BadInput exactly outside |m| + |t| <= 1/8 (with the 1e-12 range
+        # tolerance); t < 0 is the mirrored branch, not an error
+        edge = 0.125 + 1e-12
+        grid = [*np.linspace(-0.2, 0.2, 33), 0.125, -0.125, edge, -edge, 0.125 + 1e-9]
+        rejected = 0
+        for m in grid:
+            for t in grid:
+                if abs(m) + abs(t) > edge:
+                    rejected += 1
+                    with pytest.raises(BadInput, match=r"\|m\| \+ \|t\| <= 1/8"):
+                        three_qubit_family(m, t)
+                else:
+                    assert three_qubit_family(m, t).mat[3, 4] == m - t
+        assert 0 < rejected < len(grid) ** 2
+
+    def test_negative_t_is_the_mirror(self):
+        for m, t in ((0.0, 0.125), (0.03125, 0.0625), (-0.05, 0.07)):
+            mirror = three_qubit_family(m, -t).mat.copy()
+            mirror[[2, 3, 4, 5], [5, 4, 3, 2]] = mirror[[3, 2, 5, 4], [4, 5, 2, 3]]
+            assert np.array_equal(mirror, three_qubit_family(m, t).mat)
 
     def test_ppt_sample(self):
         for c, d in ((0.125, -0.125), (0.1, -0.05), (0.0, 0.125)):
-            st = three_qubit_family(c, d)
+            st = three_qubit_family((c + d) / 2, (c - d) / 2)
             for cut in ([0], [1], [2]):
                 w = np.linalg.eigvalsh(partial_transpose(st.mat, cut, st.dims))
                 assert w.min() >= -1e-10
@@ -237,7 +254,7 @@ class TestThreeQubitFamily:
 class TestThreeQubitSeparableCandidates:
     def test_gap_four_vector(self):
         t = 0.1
-        rho = three_qubit_family_mt(0.0, t)
+        rho = three_qubit_family(0.0, t)
         cands = three_qubit_separable_candidates(0.0, t)
         gap = rho.mat - cands.nearest.mat
         assert np.allclose(np.diag(gap), 0.0, atol=1e-15)
@@ -257,10 +274,10 @@ class TestThreeQubitSeparableCandidates:
 
     def test_gap_independent_of_mean_parameter(self):
         t = 0.06
-        base = three_qubit_family_mt(0.0, t).mat - three_qubit_separable_candidates(0.0, t).nearest.mat
+        base = three_qubit_family(0.0, t).mat - three_qubit_separable_candidates(0.0, t).nearest.mat
         for m in (-0.05, 0.02, 0.06):
             gap = (
-                three_qubit_family_mt(m, t).mat
+                three_qubit_family(m, t).mat
                 - three_qubit_separable_candidates(m, t).nearest.mat
             )
             assert np.abs(gap - base).max() <= 1e-14

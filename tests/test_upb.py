@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from witgeo.linalg import BadInput, SystemShape, hs_inner, partial_transpose
+from witgeo.oracle import SeeSawConfig
 from witgeo.states import completely_random
 from witgeo.upb import (
     UpbSet,
@@ -28,7 +29,8 @@ def tiles_upb():
 
 @pytest.fixture(scope="module")
 def eps_estimate(tiles_upb):
-    return estimate_epsilon(tiles_upb, restarts=64, seed=0)
+    # (eps, the see-saw's MinProductsResult)
+    return estimate_epsilon(tiles_upb, SeeSawConfig(restarts=64, seed=0))
 
 
 class TestTilesFamily:
@@ -105,27 +107,28 @@ class TestBoundEntangled:
 
 class TestEpsilonEstimate:
     def test_bracket(self, eps_estimate, tiles_upb):
-        eps = eps_estimate.epsilon
+        eps, _ = eps_estimate
         assert 0 < eps < 5 / 9
         s0 = 1 - eps * 9 / 5
         assert 0 < s0 < 1
 
     def test_consensus(self, eps_estimate):
-        assert eps_estimate.consensus >= 8
+        assert eps_estimate[1].consensus >= 8
 
     def test_seed_stability(self, tiles_upb, eps_estimate):
         for seed in (1, 2):
-            other = estimate_epsilon(tiles_upb, restarts=64, seed=seed)
-            assert abs(other.epsilon - eps_estimate.epsilon) <= 1e-8
+            other, _ = estimate_epsilon(tiles_upb, SeeSawConfig(restarts=64, seed=seed))
+            assert abs(other - eps_estimate[0]) <= 1e-8
 
     def test_more_restarts_no_improvement(self, tiles_upb, eps_estimate):
-        bigger = estimate_epsilon(tiles_upb, restarts=128, seed=0)
-        assert eps_estimate.epsilon - bigger.epsilon <= 1e-9
+        bigger, _ = estimate_epsilon(tiles_upb, SeeSawConfig(restarts=128, seed=0))
+        assert eps_estimate[0] - bigger <= 1e-9
 
     def test_argmin_attains(self, tiles_upb, eps_estimate):
         mu = uniform_mixture(tiles_upb)
-        val = np.trace(mu.mat @ product_matrix(eps_estimate.argmin)).real
-        assert val == pytest.approx(eps_estimate.epsilon / 5, abs=1e-12)
+        eps, res = eps_estimate
+        val = np.trace(mu.mat @ product_matrix(res.argmin)).real
+        assert val == pytest.approx(eps / 5, abs=1e-12)
 
     def test_extendible_family_rejected(self):
         # computational-basis products are extendible: the overlap floor is 0
@@ -133,12 +136,12 @@ class TestEpsilonEstimate:
         vecs = tuple((e[i], e[j]) for i, j in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
         extendible = UpbSet(SystemShape((3, 3)), vecs)
         with pytest.raises(ValueError, match="extendible"):
-            estimate_epsilon(extendible, restarts=16, seed=3)
+            estimate_epsilon(extendible, SeeSawConfig(restarts=16, seed=3))
 
 
 class TestFarFaceWitness:
     def test_detection_value(self, tiles_upb, eps_estimate):
-        eps = eps_estimate.epsilon
+        eps, _ = eps_estimate
         w = far_face_witness(tiles_upb, eps)
         want = -eps * eps * 9 / (5 * 4)
         assert evaluate(w, w.rho0) == pytest.approx(want, abs=1e-12)
@@ -160,12 +163,13 @@ class TestFarFaceWitness:
         assert evaluate(w, w.rho0) < -DETECTION_TOL
 
     def test_vanishes_on_argmin(self, tiles_upb, eps_estimate):
-        w = far_face_witness(tiles_upb, eps_estimate.epsilon)
-        val = np.trace(w.matrix @ product_matrix(eps_estimate.argmin)).real
+        eps, res = eps_estimate
+        w = far_face_witness(tiles_upb, eps)
+        val = np.trace(w.matrix @ product_matrix(res.argmin)).real
         assert abs(val) <= 1e-8
 
     def test_positive_on_sampled_products(self, tiles_upb, eps_estimate):
-        w = far_face_witness(tiles_upb, eps_estimate.epsilon)
+        w = far_face_witness(tiles_upb, eps_estimate[0])
         rng = np.random.default_rng(4)
         worst = np.inf
         for _ in range(2000):
@@ -183,7 +187,7 @@ class TestFarFaceWitness:
 
     def test_segment_construction_coincides(self, tiles_upb, eps_estimate):
         # hyperplane route through tau0 = (1-s0) I/N + s0 rho0
-        eps = eps_estimate.epsilon
+        eps, _ = eps_estimate
         w = far_face_witness(tiles_upb, eps)
         n, m = 9, 5
         s0 = 1 - eps * n / m
@@ -213,7 +217,7 @@ class TestReweighted:
         # detection whenever it fires.
         from witgeo.witness import frustum_predicate
 
-        eps = eps_estimate.epsilon
+        eps, _ = eps_estimate
         wit = far_face_witness(tiles_upb, eps)
         inside = [0.2009] + [(1 - 0.2009) / 4] * 4
         rho_in = reweighted_bound_entangled(tiles_upb, inside)

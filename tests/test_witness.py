@@ -11,7 +11,7 @@ from witgeo.states import (
     completely_random,
     max_entangled,
     schmidt_state,
-    three_qubit_family_mt,
+    three_qubit_family,
     three_qubit_separable_candidates,
 )
 from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
@@ -55,7 +55,7 @@ class TestNearestWitness:
 
     @pytest.mark.parametrize("t", (1 / 32, 1 / 16, 1 / 8))
     def test_three_qubit_constant(self, t):
-        rho = three_qubit_family_mt(0.0, t)
+        rho = three_qubit_family(0.0, t)
         tau = three_qubit_separable_candidates(0.0, t).nearest
         w = nearest_witness(rho, tau)
         assert w.c0 == pytest.approx(t / 4, abs=1e-12)
@@ -189,7 +189,7 @@ class TestTwoQubitNoiseThreshold:
                         if delta == 0.0
                         else noise_ball((2, 2), delta, seed)
                     )
-                    rho = p * target.mat + (1 - p) * sigma.mat
+                    rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.shape)
                     assert evaluate(w, rho) < -DETECTION_TOL
 
 
@@ -279,7 +279,7 @@ class TestWitnessInvariants:
     def test_three_qubit_detection_is_mean_independent(self):
         t = 0.08
         tau = three_qubit_separable_candidates(0.0, t).nearest
-        w = nearest_witness(three_qubit_family_mt(0.0, t), tau)
+        w = nearest_witness(three_qubit_family(0.0, t), tau)
         for m in (-0.04, 0.0, 0.04):
-            val = evaluate(w, three_qubit_family_mt(m, t))
+            val = evaluate(w, three_qubit_family(m, t))
             assert val == pytest.approx(-2 * t * t, abs=1e-12)
