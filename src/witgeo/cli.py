@@ -175,7 +175,7 @@ def cmd_witness(args) -> tuple:
     wio.save_state(rhofile, w.rho0)
     outputs = {
         "c0": _scalar(w.c0, tol=1e-12),
-        "detection_value": _scalar(evaluate(w, w.rho0), tol=DETECTION_TOL),
+        "detection_value": _scalar(w.detection_value, tol=DETECTION_TOL),
         "witness_file": str(wfile),
         "tau0_file": str(taufile),
         "rho0_file": str(rhofile),
@@ -225,8 +225,7 @@ def cmd_verify(args) -> tuple:
     residual = target.decompose().residual(w)
     checks.append(("decomposition_reconstruction", residual <= 1e-10, residual))
 
-    detection = evaluate(w, w.rho0)
-    checks.append(("detects_target", detection < -DETECTION_TOL, detection))
+    checks.append(("detects_target", w.detection_value < -DETECTION_TOL, w.detection_value))
 
     oracle = min_over_products(w.matrix, w.dims, seesaw)
     checks.append(("positive_on_products", oracle.value >= -1e-8, oracle.value))

@@ -9,7 +9,7 @@
   makes product projections sufficient to probe the separable set, so
   the returned value is an upper bound on the true minimum over it, with
   restart consensus as the confidence signal.  Never a certified global
-  minimum.
+  minimum.  A party step contracts H with the other parties' vectors.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def ppt_report(rho: DensityState) -> PptReport:
 # by less than _SWEEP_TOL, or after _MAX_SWEEPS sweeps.
 _MAX_SWEEPS = 200
 _SWEEP_TOL = 1e-11
-# Each party step stacks restarts x N x d_k complex entries: at the bound
-# and N = 4096 (ghz 12, d_k = 2) that is 32 MiB, and 0.9 GiB for qudit 61.
+# A party step holds one N x N copy of H (268 MB at ghz 12) and restarts x N x d_k
+# partial sums: at the bound 32 MiB at ghz 12 (d_k = 2), and 0.9 GiB for qudit 61.
 MAX_RESTARTS = 256
 
 
@@ -103,9 +103,10 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResu
     r starts from the same vectors for any restarts > r.  Restarts are
     merged by min over (value, restart index), so the result is
     deterministic under (seed, restarts).  They advance together: each
-    party step builds one column stack of restarts x N x d_k complex
-    entries with linalg.tensor, for one batched eigh; a restart leaves
-    once a sweep gains less than _SWEEP_TOL.
+    party step copies H with party k's indices first, takes one product
+    per live restart with its vector o of the other parties (one gemm over
+    all would round by the live set), contracts with conj(o) and runs one
+    batched eigh; a restart leaves once a sweep gains less than _SWEEP_TOL.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
@@ -117,13 +118,16 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResu
     draw = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, sum(dims), 2))
     starts = np.split(draw.view(complex)[..., 0], np.cumsum(dims)[:-1], axis=1)
     vecs = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in starts]  # (restarts, d_k)
-    eyes = [np.eye(d, dtype=complex)[None] for d in dims]  # a batch axis for one party alone
+    n = len(dims)
     finals = np.full(cfg.restarts, np.inf)  # each restart's objective after its last sweep
     live = np.arange(cfg.restarts)
     for _ in range(_MAX_SWEEPS):
-        for k in range(len(dims)):
-            cols = tensor(*(eyes[k] if i == k else v[live, :, None] for i, v in enumerate(vecs)))
-            w, u = np.linalg.eigh(cols.conj().transpose(0, 2, 1) @ h @ cols)
+        for k, d in enumerate(dims):  # hk[a i b, j] = H[a i, b j], i and j the other parties
+            hk = np.moveaxis(h.reshape(dims * 2), (k, n + k), (0, n)).reshape(d * h.shape[0], -1)
+            others = vecs[:k] + vecs[k + 1 :]
+            o = tensor(np.ones((live.size, 1, 1)), *(v[live, :, None] for v in others))
+            t = (hk @ o).reshape(-1, d, o.shape[1], d)  # one product per restart
+            w, u = np.linalg.eigh((o.conj().transpose(0, 2, 1)[:, None] @ t)[:, :, 0])
             vecs[k][live] = u[:, :, 0]
         val, prev = w[:, 0], finals[live]  # <pi|H|pi> once the last party is updated
         if np.any(val > prev + 1e-9):

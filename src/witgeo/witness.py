@@ -14,17 +14,17 @@ The induced-inner-product identity
 
 holds for every rho; identity_deviation is its worst case over all states,
 which verify checks.  nearest_witness is the one place W and c0 are
-computed.  A Witness exists only if Tr(W rho0) < -DETECTION_TOL, the
-rule verify applies; else BadInput, which only input can cause (a tiny
-threeq t or far-face eps).  The paper's route through the last separable
-point on the segment from I/N to rho0 gives the same observable; the
-tests keep it as a reference route.
+computed.  A Witness keeps Tr(W rho0) as detection_value and exists only
+if it is below -DETECTION_TOL, the rule verify applies; else BadInput,
+which only input can cause (a tiny threeq t or far-face eps).  The
+paper's route through the last separable point on the segment from I/N
+to rho0 gives the same observable; the tests keep it as a reference route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,19 +37,21 @@ DETECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Witness:
-    """Hermitian witness observable with its construction data."""
+    """Hermitian witness observable with its construction data and Tr(W rho0)."""
 
     matrix: np.ndarray
     c0: float
     rho0: DensityState
     tau0: DensityState
     s0: float | None = None
+    detection_value: float = field(init=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         value = hs_inner(mat, self.rho0.mat).real
+        object.__setattr__(self, "detection_value", value)
         if not value < -DETECTION_TOL:
             msg = f"Tr(W rho0) = {value:.3e} is not below -{DETECTION_TOL:g}"
             raise BadInput(f"witness does not detect its target: {msg}")

@@ -946,10 +946,15 @@ def test_argv_fuzz_never_exits_internal(argv, data):
         assert out.getvalue() == "", argv
 
 
-@pytest.mark.parametrize("target", [("ghz", "8"), ("qudit", "13")], ids=["ghz8", "qudit13"])
+@pytest.mark.parametrize(
+    "target",
+    [("ghz", "8"), ("qudit", "13"), ("upb", "tiles", "--seed", "3", "--restarts", "8")],
+    ids=["ghz8", "qudit13", "upb-tiles"],
+)
 def test_reports_independent_of_blas_thread_count(tmp_path, target):
     # a threaded BLAS reduction such as np.vdot sums in an order that depends
-    # on the thread count; reports and files must not
+    # on the thread count; reports and files must not.  upb runs the see-saw,
+    # whose epsilon reaches the report and the witness and tau0 files
     src = str(Path(cli.__file__).resolve().parent.parent)
     runs = []
     for threads in ("1", "2"):

@@ -55,6 +55,35 @@ class TestPptReport:
             assert value == pytest.approx(-0.5, abs=1e-12), cut
 
 
+def _reference_targets():
+    from witgeo.upb import tiles, uniform_mixture
+
+    rng = np.random.default_rng(16)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    yield pytest.param(standard_witness(2).matrix, (2, 2), 32, id="bell2")
+    for d in (3, 5, 7, 13):
+        yield pytest.param(standard_witness(d).matrix, (d, d), 32, id=f"qudit{d}")
+    for n in (3, 4, 5, 6):
+        yield pytest.param(ghz_decomposition(n).witness.matrix, (2,) * n, 32, id=f"ghz{n}")
+    yield pytest.param(-ghz(9).mat, (2,) * 9, 2, id="-ghz9")
+    for m, t in ((0.0, 1 / 8), (0.02, 0.05)):
+        yield pytest.param(three_qubit_witness(m, t).matrix, (2, 2, 2), 32, id=f"threeq{m},{t}")
+    yield pytest.param(uniform_mixture(tiles()).mat, (3, 3), 32, id="tiles-mu0")
+    yield pytest.param(g + g.conj().T, (4,), 32, id="single-party")
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    # unequal dims: a party-order or transpose slip in the local contraction shows
+    yield pytest.param(g + g.conj().T, (2, 3, 2), 32, id="random-2x3x2")
+
+
+def _independence_targets():
+    from witgeo.upb import tiles, uniform_mixture
+
+    yield pytest.param(three_qubit_witness(0.02, 0.05).matrix, (2, 2, 2), id="threeq0.02,0.05")
+    yield pytest.param(ghz_decomposition(5).witness.matrix, (2,) * 5, id="ghz5")
+    yield pytest.param(standard_witness(7).matrix, (7, 7), id="qudit7")
+    yield pytest.param(uniform_mixture(tiles()).mat, (3, 3), id="tiles-mu0")
+
+
 class TestMinOverProducts:
     def test_constant_objective(self):
         res = min_over_products(np.eye(4), (2, 2), SeeSawConfig(restarts=4, seed=1))
@@ -94,11 +123,13 @@ class TestMinOverProducts:
             res = min_over_products(rotated, (2, 2), SeeSawConfig(restarts=16, seed=6))
             assert abs(res.value - base.value) <= 1e-8
 
-    def test_argmin_attains_value(self):
-        w = standard_witness(2)
-        res = min_over_products(w.matrix, (2, 2), SeeSawConfig(restarts=8, seed=7))
-        direct = np.trace(w.matrix @ product_matrix(res.argmin)).real
-        assert direct == pytest.approx(res.value, abs=1e-12)
+    @pytest.mark.parametrize("h, dims, restarts", list(_reference_targets()))
+    def test_argmin_attains_value(self, h, dims, restarts):
+        # Tr(H pi) through the Kronecker product of the argmin's factors, a
+        # route independent of the see-saw's local contraction
+        res = min_over_products(h, dims, SeeSawConfig(restarts=restarts, seed=7))
+        direct = np.trace(h @ product_matrix(res.argmin)).real
+        assert abs(direct - res.value) <= 1e-12
 
     def test_nine_parties(self):
         # the largest overlap of a product state with GHZ is 1/2 at any n
@@ -122,23 +153,6 @@ class TestMinOverProducts:
         assert res.consensus >= 8
 
 
-def _reference_targets():
-    from witgeo.upb import tiles, uniform_mixture
-
-    rng = np.random.default_rng(16)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    yield pytest.param(standard_witness(2).matrix, (2, 2), 32, id="bell2")
-    for d in (3, 5, 7, 13):
-        yield pytest.param(standard_witness(d).matrix, (d, d), 32, id=f"qudit{d}")
-    for n in (3, 4, 5, 6):
-        yield pytest.param(ghz_decomposition(n).witness.matrix, (2,) * n, 32, id=f"ghz{n}")
-    yield pytest.param(-ghz(9).mat, (2,) * 9, 2, id="-ghz9")
-    for m, t in ((0.0, 1 / 8), (0.02, 0.05)):
-        yield pytest.param(three_qubit_witness(m, t).matrix, (2, 2, 2), 32, id=f"threeq{m},{t}")
-    yield pytest.param(uniform_mixture(tiles()).mat, (3, 3), 32, id="tiles-mu0")
-    yield pytest.param(g + g.conj().T, (4,), 32, id="single-party")
-
-
 class TestBatchedSeeSaw:
     @pytest.mark.parametrize("h, dims, restarts", list(_reference_targets()))
     def test_bit_identical_to_restart_loop(self, h, dims, restarts):
@@ -153,10 +167,11 @@ class TestBatchedSeeSaw:
         for a, b in zip(got.argmin.factors, want.argmin.factors, strict=True):
             assert np.array_equal(a, b)
 
-    def test_restart_start_depends_only_on_seed_and_index(self):
-        h = three_qubit_witness(0.02, 0.05).matrix
-        many = min_over_products(h, (2, 2, 2), SeeSawConfig(restarts=32, seed=5))
-        few = min_over_products(h, (2, 2, 2), SeeSawConfig(restarts=8, seed=5))
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("h, dims", list(_independence_targets()))
+    def test_restart_start_depends_only_on_seed_and_index(self, h, dims, seed):
+        many = min_over_products(h, dims, SeeSawConfig(restarts=32, seed=seed))
+        few = min_over_products(h, dims, SeeSawConfig(restarts=8, seed=seed))
         assert many.values[:8] == few.values
 
     def test_one_generator_per_call(self, monkeypatch):
