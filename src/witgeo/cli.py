@@ -99,14 +99,13 @@ def _build_target(args) -> Target:
     # upb, the last target the parser admits
     source = args.params[0] if args.params else "tiles"
     upb = tiles() if source == "tiles" else wio.load_upb(source)
-    dims = upb.shape.dims
-    _check_size(math.prod(dims), "x".join(map(str, dims)))
+    _check_size(upb.n, "x".join(map(str, upb.dims)))
     eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=args.restarts, seed=args.seed))
     extras = {
         "epsilon": eps,
         "consensus": f"{seesaw.consensus}/{seesaw.restarts}",
         "m": upb.m,
-        "N": upb.shape.size,
+        "N": upb.n,
     }
     w = far_face_witness(upb, eps)
     return Target("upb", w, lambda: far_face_decomposition(upb, eps), extras)
@@ -171,8 +170,8 @@ def cmd_witness(args) -> tuple:
     rhofile = out / f"{target.name}_rho0.json"
     w = target.witness
     wio.save_witness(wfile, w)
-    wio.save_state(taufile, w.tau0)
-    wio.save_state(rhofile, w.rho0)
+    wio.save_matrix(taufile, w.tau0.mat, w.tau0.dims)
+    wio.save_matrix(rhofile, w.rho0.mat, w.rho0.dims)
     outputs = {
         "c0": _scalar(w.c0, tol=1e-12),
         "detection_value": _scalar(w.detection_value, tol=DETECTION_TOL),

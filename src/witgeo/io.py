@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import MAX_SIZE, BadInput, DensityState, SystemShape, is_hermitian
+from .linalg import MAX_SIZE, BadInput, is_hermitian
 from .measurements import MeasurementSetting, WitnessDecomposition
 from .upb import UpbSet
 from .witness import Witness
@@ -125,10 +125,6 @@ def save_matrix(path, mat: np.ndarray, dims) -> None:
     _save(path, matrix_doc(mat, dims))
 
 
-def save_state(path, state: DensityState) -> None:
-    save_matrix(path, state.mat, state.dims)
-
-
 def witness_doc(w: Witness) -> dict:
     doc = matrix_doc(w.matrix, w.dims)
     doc["c0"] = float(w.c0)
@@ -190,6 +186,5 @@ def load_amplitudes(path) -> np.ndarray:
 
 def load_upb(path) -> UpbSet:
     with _document(path) as doc:
-        shape = SystemShape(_dims(doc["shape"]))
         vectors = tuple(tuple(_complex(factor) for factor in vec) for vec in doc["vectors"])
-        return UpbSet(shape, vectors)
+        return UpbSet(_dims(doc["shape"]), vectors)

@@ -3,16 +3,18 @@
 """Dense complex matrix algebra for multipartite density operators.
 
 Everything operates on plain ``numpy`` complex arrays.  States carry
-their tensor-factor shape so partial transposes and local contractions
-know where the party boundaries are; ``tensor`` is the one Kronecker
-product, of matrices or of broadcasting stacks of them.  All values are
-treated as immutable after construction; arrays stored on the
-dataclasses are marked read-only.  A ``DensityState`` checks its matrix in one O(N^2)
-pass and takes no spectrum; positivity is shown where a state can lack it.
+their local dimensions ``dims = (d1, ..., dn)``, a tuple of ints, so
+partial transposes and local contractions know where the party
+boundaries are; ``tensor`` is the one Kronecker product, of matrices or
+of broadcasting stacks of them.  A ``DensityState`` is immutable after
+construction, its matrix marked read-only; it checks the matrix in one
+O(N^2) pass and takes no spectrum; positivity is shown where a state can
+lack it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,57 +31,30 @@ class BadInput(ValueError):
     """A user value or file fails a check where it enters; the CLI exits 2 on it."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class SystemShape:
-    """Ordered local dimensions (d1, ..., dn) of a tensor-product space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must all be >= 2, got {dims}")
-
-    @property
-    def size(self) -> int:
-        """Total dimension N = d1 * ... * dn."""
-        return int(np.prod(self.dims))
-
-    @property
-    def parties(self) -> int:
-        return len(self.dims)
-
-
 @dataclass(frozen=True)
 class DensityState:
-    """A density operator on a given tensor shape.
+    """A density operator on the tensor-product space of local dimensions ``dims``.
 
     Construction checks what one O(N^2) pass can: square, size against
-    the shape, finite, Hermitian, unit trace.  It takes no spectrum:
+    ``dims``, finite, Hermitian, unit trace.  It takes no spectrum:
     states built here are convex combinations of positive semidefinite
     matrices by their closed forms (proven in the tests), and input is
     checked where it enters, UPB files by ``upb.bound_entangled``.
     """
 
     mat: np.ndarray
-    shape: SystemShape
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = _readonly(self.mat)
+        mat = np.array(self.mat, dtype=complex)
+        mat.setflags(write=False)
+        dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "dims", dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if mat.shape[0] != self.shape.size:
-            raise ValueError(
-                f"matrix dimension {mat.shape[0]} does not match shape {self.shape.dims}"
-            )
+        if mat.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix dimension {mat.shape[0]} does not match dims {dims}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         herm = np.abs(mat - mat.conj().T).max()
@@ -90,26 +65,9 @@ class DensityState:
             raise ValueError(f"trace {tr} != 1")
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape.dims
-
-    @property
     def n(self) -> int:
-        return self.shape.size
-
-
-@dataclass(frozen=True)
-class ProductProjection:
-    """A rank-1 product projection, stored as one unit vector per party."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        facs = tuple(_readonly(np.ravel(f)) for f in self.factors)
-        object.__setattr__(self, "factors", facs)
-        for f in facs:
-            if abs(np.linalg.norm(f) - 1.0) > 1e-12:
-                raise ValueError("product factors must be unit vectors")
+        """Total dimension N = d1 * ... * dn."""
+        return self.mat.shape[0]
 
 
 def tensor(*mats: np.ndarray) -> np.ndarray:

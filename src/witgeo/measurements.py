@@ -232,7 +232,7 @@ def ghz_witness(n: int) -> GhzWitness:
     size = 2**n
 
     x = (size - 2) ** 2 / (size * size - 2 * size + 4)
-    tau0 = DensityState(x * delta.mat + (1 - x) * corner.mat, rho0.shape)
+    tau0 = DensityState(x * delta.mat + (1 - x) * corner.mat, rho0.dims)
     wit = nearest_witness(rho0, tau0)
 
     a = wit.c0 + 0.5
@@ -301,7 +301,7 @@ def far_face_decomposition(upb: "UpbSet", eps: float) -> WitnessDecomposition:
 
         W = eps*N/(N-m) * mu0 - eps^2*N/(m(N-m)) * I
     """
-    n_total = upb.shape.size
+    n_total = upb.n
     m = upb.m
     if not 0 < eps < m / n_total:
         raise ValueError(f"eps = {eps} outside (0, m/N)")
@@ -309,8 +309,8 @@ def far_face_decomposition(upb: "UpbSet", eps: float) -> WitnessDecomposition:
     settings = []
     for k in range(m):
         bases = tuple(complete_basis(f) for f in upb.vectors[k])
-        w = np.zeros(upb.shape.dims)
-        w[(0,) * upb.shape.parties] = 1.0
+        w = np.zeros(upb.dims)
+        w[(0,) * len(upb.dims)] = 1.0
         settings.append((coeff / m, MeasurementSetting(bases, w)))
     return WitnessDecomposition(-coeff * eps / m, tuple(settings))
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    BadInput,
-    DensityState,
-    ProductProjection,
-    is_hermitian,
-    partial_transpose,
-    tensor,
-)
+from .linalg import BadInput, DensityState, is_hermitian, partial_transpose, tensor
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ def ppt_report(rho: DensityState) -> PptReport:
     Transposing a subset and its complement give matrices with the same
     spectrum, so only subsets excluding party 0 are listed.
     """
-    n = rho.shape.parties
+    n = len(rho.dims)
     if n < 2:
         raise ValueError("need at least two parties")
     others = range(1, n)
@@ -78,7 +71,7 @@ class SeeSawConfig:
 @dataclass(frozen=True)
 class MinProductsResult:
     value: float
-    argmin: ProductProjection
+    argmin: tuple[np.ndarray, ...]  # one unit vector per party
     consensus: int
     restarts: int
     values: tuple[float, ...] = field(repr=False)
@@ -143,7 +136,7 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResu
     consensus = sum(1 for v in values if v <= values[best_idx] + 1e-9)
     return MinProductsResult(
         value=values[best_idx],
-        argmin=ProductProjection(tuple(v[best_idx] for v in vecs)),
+        argmin=tuple(v[best_idx] for v in vecs),
         consensus=consensus,
         restarts=cfg.restarts,
         values=tuple(values),

@@ -17,11 +17,12 @@ refuse to return on disagreement.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, SystemShape, tensor
+from .linalg import BadInput, DensityState, tensor
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,9 +30,9 @@ _PAULI = {1: PAULI_X, 2: PAULI_Y}
 
 
 def completely_random(dims) -> DensityState:
-    """The maximally mixed state I/N on the given tensor shape."""
-    shape = SystemShape(tuple(dims))
-    return DensityState(np.eye(shape.size, dtype=complex) / shape.size, shape)
+    """The maximally mixed state I/N on local dimensions dims."""
+    n = math.prod(dims)
+    return DensityState(np.eye(n, dtype=complex) / n, dims)
 
 
 def schmidt_state(amps) -> DensityState:
@@ -45,7 +46,7 @@ def schmidt_state(amps) -> DensityState:
     psi = np.zeros(d * d, dtype=complex)
     for k in range(d):
         psi[k * d + k] = a[k]
-    return DensityState(np.outer(psi, psi.conj()), SystemShape((d, d)))
+    return DensityState(np.outer(psi, psi.conj()), (d, d))
 
 
 def max_entangled(d: int) -> DensityState:
@@ -63,7 +64,7 @@ def closest_separable(rho0: DensityState) -> DensityState:
     """
     d = rho0.dims[0]
     mat = d / (d + 1) * (np.eye(d * d, dtype=complex) / (d * d)) + 1 / (d + 1) * rho0.mat
-    return DensityState(mat, rho0.shape)
+    return DensityState(mat, rho0.dims)
 
 
 # ----------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def ghz(n: int) -> DensityState:
     size = 2**n
     psi = np.zeros(size, dtype=complex)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2)
-    return DensityState(np.outer(psi, psi.conj()), SystemShape((2,) * n))
+    return DensityState(np.outer(psi, psi.conj()), (2,) * n)
 
 
 def ghz_dephased(n: int) -> DensityState:
@@ -85,7 +86,7 @@ def ghz_dephased(n: int) -> DensityState:
     size = 2**n
     mat = np.zeros((size, size), dtype=complex)
     mat[0, 0] = mat[-1, -1] = 0.5
-    return DensityState(mat, SystemShape((2,) * n))
+    return DensityState(mat, (2,) * n)
 
 
 def ghz_corner_mix(n: int) -> DensityState:
@@ -93,7 +94,7 @@ def ghz_corner_mix(n: int) -> DensityState:
     size = 2**n
     mat = np.eye(size, dtype=complex) / size
     mat[0, -1] = mat[-1, 0] = 1.0 / size
-    return DensityState(mat, SystemShape((2,) * n))
+    return DensityState(mat, (2,) * n)
 
 
 def ghz_segment_weight(n: int) -> float:
@@ -113,7 +114,7 @@ def ghz_segment_state(n: int) -> DensityState:
     dev = np.abs(via_segment - via_parts).max()
     if dev > 1e-12:
         raise AssertionError(f"internal consistency failure: segment forms differ by {dev:.3e}")
-    return DensityState(via_segment, SystemShape((2,) * n))
+    return DensityState(via_segment, (2,) * n)
 
 
 # ----------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def three_qubit_family(m: float, t: float) -> DensityState:
     dev = np.abs(mat - via_parity).max()
     if dev > 1e-12:
         raise AssertionError(f"internal decomposition mismatch: {dev:.3e}")
-    return DensityState(mat, SystemShape((2, 2, 2)))
+    return DensityState(mat, (2, 2, 2))
 
 
 class SeparableCandidates(NamedTuple):
@@ -199,8 +200,8 @@ def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
     rho = three_qubit_family(m, t)  # checks the region, which implies nearest's |m| + t/2 <= 1/8
     nearest = DensityState(
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),
-        SystemShape((2, 2, 2)),
+        (2, 2, 2),
     )
     d0 = np.eye(8, dtype=complex) / 8
-    segment = DensityState((rho.mat + 8 * t * d0) / (1 + 8 * t), SystemShape((2, 2, 2)))
+    segment = DensityState((rho.mat + 8 * t * d0) / (1 + 8 * t), (2, 2, 2))
     return SeparableCandidates(rho, nearest, segment)

@@ -28,12 +28,13 @@ eps/m, argmin, consensus and every restart's value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, SystemShape, tensor
+from .linalg import BadInput, DensityState, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
 from .witness import Witness, nearest_witness
 
@@ -42,16 +43,21 @@ from .witness import Witness, nearest_witness
 class UpbSet:
     """Orthonormal product vectors stored by their per-party factors."""
 
-    shape: SystemShape
+    dims: tuple[int, ...]
     vectors: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
+        # the one place dims enter from outside the program: UPB files
+        dims = tuple(int(d) for d in self.dims)
+        if not dims or min(dims) < 2:
+            raise ValueError(f"local dimensions must all be >= 2, got {dims}")
+        object.__setattr__(self, "dims", dims)
         stored = []
         for factors in self.vectors:
-            if len(factors) != self.shape.parties:
+            if len(factors) != len(dims):
                 raise ValueError("each vector needs one factor per party")
             facs = []
-            for f, d in zip(factors, self.shape.dims):
+            for f, d in zip(factors, dims):
                 f = np.asarray(f, dtype=complex).ravel()
                 if len(f) != d:
                     raise ValueError(f"factor length {len(f)} != local dimension {d}")
@@ -63,7 +69,7 @@ class UpbSet:
                 facs.append(f)
             stored.append(tuple(facs))
         object.__setattr__(self, "vectors", tuple(stored))
-        if self.m >= self.shape.size:
+        if self.m >= self.n:
             raise ValueError("a product basis this large cannot be unextendible")
         gram = self.gram()
         dev = np.abs(gram - np.eye(self.m)).max()
@@ -73,6 +79,11 @@ class UpbSet:
     @property
     def m(self) -> int:
         return len(self.vectors)
+
+    @property
+    def n(self) -> int:
+        """Total dimension N = d1 * ... * dn."""
+        return math.prod(self.dims)
 
     def gram(self) -> np.ndarray:
         # the overlap of two product vectors is the product of the party overlaps,
@@ -92,7 +103,7 @@ def tiles() -> UpbSet:
     """
     e = np.eye(3)
     return UpbSet(
-        SystemShape((3, 3)),
+        (3, 3),
         (
             (e[0], e[0] - e[1]),
             (e[2], e[1] - e[2]),
@@ -107,19 +118,19 @@ def uniform_mixture(upb: UpbSet) -> DensityState:
     """The separable state mu0 = (1/m) sum_k |phi_k><phi_k| (rank m, purity 1/m)."""
     parties = [np.array(factors)[:, :, None] for factors in zip(*upb.vectors)]  # each (m, d_k, 1)
     mat = sum(np.outer(v, v.conj()) for v in tensor(*parties)[:, :, 0]) / upb.m
-    return DensityState(mat, upb.shape)
+    return DensityState(mat, upb.dims)
 
 
 def bound_entangled(upb: UpbSet) -> DensityState:
     """Normalized projector complement (N*I/N - m*mu0)/(N-m); PPT by construction."""
-    n = upb.shape.size
+    n = upb.n
     m = upb.m
     mu = uniform_mixture(upb)
     mat = (np.eye(n) - m * mu.mat) / (n - m)
     low = np.linalg.eigvalsh(mat).min()
     if low < -1e-10:
         raise BadInput(f"complement state not PSD (min eig {low:.3e}); invalid UPB input")
-    return DensityState(mat, upb.shape)
+    return DensityState(mat, upb.dims)
 
 
 def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProductsResult]:
@@ -131,14 +142,14 @@ def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProducts
     unextendibility and is rejected; so is a value outside the bracket
     (0, m/N) required for the far-face witness.
     """
-    res = min_over_products(uniform_mixture(upb).mat, upb.shape.dims, cfg)
+    res = min_over_products(uniform_mixture(upb).mat, upb.dims, cfg)
     if res.value <= 1e-12:
         raise BadInput(
             "minimum product overlap is numerically zero; the family is extendible "
             "or otherwise invalid"
         )
     eps = upb.m * res.value
-    if not eps < upb.m / upb.shape.size:
+    if not eps < upb.m / upb.n:
         raise AssertionError(f"eps = {eps} exceeds its bracket m/N")
     return eps, res
 
@@ -151,7 +162,7 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     equal that matrix, and it is the stored one.  (tau0 is a hyperplane
     intersection point here, not itself separable.)
     """
-    n = upb.shape.size
+    n = upb.n
     m = upb.m
     if not 0.0 < eps < m / n:
         raise ValueError(f"eps = {eps} outside (0, m/N = {m/n})")
@@ -160,7 +171,7 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     closed = eps * n / (n - m) * (mu.mat - eps / m * np.eye(n))
 
     s0 = 1.0 - eps * n / m
-    tau0 = DensityState((1 - s0) * np.eye(n) / n + s0 * rho0.mat, upb.shape)
+    tau0 = DensityState((1 - s0) * np.eye(n) / n + s0 * rho0.mat, upb.dims)
     hp = nearest_witness(rho0, tau0)
     dev = np.abs(closed - hp.matrix).max()
     if dev > 1e-10:

@@ -10,9 +10,11 @@ that ``witness.two_qubit_noise_threshold``, ``qudit_detection_predicate``
 and ``frustum_predicate`` state in closed form.
 """
 
+import math
+
 import numpy as np
 
-from witgeo.linalg import DensityState, SystemShape
+from witgeo.linalg import DensityState
 
 from upb_reference import member_projector
 
@@ -26,8 +28,7 @@ def noise_ball(dims, delta: float, seed: int) -> DensityState:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    shape = SystemShape(tuple(dims))
-    n = shape.size
+    n = math.prod(dims)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = (g + g.conj().T) / 2
@@ -38,7 +39,7 @@ def noise_ball(dims, delta: float, seed: int) -> DensityState:
     while True:
         sigma = base + scale * h
         if np.linalg.eigvalsh(sigma).min() >= 0.0:
-            return DensityState(sigma, shape)
+            return DensityState(sigma, dims)
         scale /= 2
 
 
@@ -54,7 +55,7 @@ def reweighted_bound_entangled(upb, weights) -> DensityState:
         raise ValueError(f"need {upb.m} weights, got {len(p)}")
     if p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
         raise ValueError("weights must be nonnegative and sum to one")
-    n = upb.shape.size
+    n = upb.n
     b = 1.0 / p.max()
     if b >= n:
         raise ValueError(f"b = {b} must stay below N = {n}")
@@ -65,4 +66,4 @@ def reweighted_bound_entangled(upb, weights) -> DensityState:
         raise ValueError(
             f"reweighted state not PSD (min eig {low:.3e}); weights too concentrated"
         )
-    return DensityState(mat, upb.shape)
+    return DensityState(mat, upb.dims)

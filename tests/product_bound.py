@@ -10,16 +10,13 @@ product states of the angle parametrization.
 import numpy as np
 from scipy.optimize import minimize
 
-from witgeo.linalg import ProductProjection
 
-
-def product_from_angles(thetas, phis) -> ProductProjection:
-    """Product projection with local vectors (cos t_k, e^{i phi_k} sin t_k)."""
-    facs = tuple(
+def product_from_angles(thetas, phis) -> tuple[np.ndarray, ...]:
+    """Unit local vectors (cos t_k, e^{i phi_k} sin t_k) of a product projection."""
+    return tuple(
         np.array([np.cos(t), np.exp(1j * p) * np.sin(t)], dtype=complex)
         for t, p in zip(thetas, phis)
     )
-    return ProductProjection(facs)
 
 
 def bell_correlation(phi1: float, phi2: float, phi3: float) -> float:

@@ -12,7 +12,7 @@ through the Kronecker product instead, a route independent of both.
 
 import numpy as np
 
-from witgeo.linalg import ProductProjection, is_hermitian, tensor
+from witgeo.linalg import is_hermitian, tensor
 from witgeo.oracle import _MAX_SWEEPS, _SWEEP_TOL, MinProductsResult, SeeSawConfig
 
 
@@ -55,7 +55,7 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResu
                 break
             prev = val
         finals.append(val)
-        argmins.append(ProductProjection(tuple(vecs)))
+        argmins.append(tuple(vecs))
 
     best_idx = min(range(cfg.restarts), key=lambda i: (finals[i], i))
     best = finals[best_idx]

@@ -20,7 +20,7 @@ def segment_state(rho0: DensityState, s0: float) -> DensityState:
     """tau~0 = (1-s0) I/N + s0 rho0."""
     if not 0.0 < s0 < 1.0:
         raise ValueError(f"s0 must lie in (0, 1), got {s0}")
-    return DensityState((1 - s0) * np.eye(rho0.n) / rho0.n + s0 * rho0.mat, rho0.shape)
+    return DensityState((1 - s0) * np.eye(rho0.n) / rho0.n + s0 * rho0.mat, rho0.dims)
 
 
 def segment_witness(rho0: DensityState, tau0: DensityState, s0: float) -> Witness:

@@ -12,13 +12,7 @@ the README section "Three-qubit family: the published bound is 2*sqrt(2)").
 import numpy as np
 import pytest
 
-from witgeo.linalg import (
-    DensityState,
-    SystemShape,
-    hs_inner,
-    partial_transpose,
-    tensor,
-)
+from witgeo.linalg import DensityState, hs_inner, partial_transpose, tensor
 from witgeo.measurements import (
     ghz_decomposition,
     qudit_decomposition,
@@ -100,7 +94,7 @@ def test_criterion_02_two_qubit_decomposition():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
+        rho = DensityState(random_density(4, rng), (2, 2))
         lhs = evaluate(w, rho)
         rhs = 2 / 3 - 2 * hs_inner(tau0.mat, rho.mat).real
         worst = max(worst, abs(lhs - rhs))
@@ -197,7 +191,7 @@ def test_criterion_05_noise_thresholds():
             p = two_qubit_noise_threshold(a, b, delta) + 0.02
             for seed in range(50):
                 sigma = noise_ball((2, 2), delta, seed)
-                rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.shape)
+                rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.dims)
                 total += 1
                 detected += evaluate(w, rho) < -DETECTION_TOL
     crit.check(
@@ -440,7 +434,7 @@ def test_criterion_10_global_identity():
         diff = w.rho0.mat - w.tau0.mat
         worst = 0.0
         for _ in range(100):
-            rho = DensityState(random_density(w.n, rng), w.rho0.shape)
+            rho = DensityState(random_density(w.n, rng), w.rho0.dims)
             total = evaluate(w, rho) + hs_inner(diff, rho.mat - w.tau0.mat).real
             worst = max(worst, abs(total))
         crit.check(name, worst <= 1e-10, f"worst {worst:.3e}")

@@ -845,7 +845,7 @@ def test_builder_fault_is_internal(capsys, monkeypatch, tmp_path):
     closest = measurements.closest_separable
 
     def off_trace(rho0):
-        return DensityState(closest(rho0).mat * (1 + 1e-6), rho0.shape)
+        return DensityState(closest(rho0).mat * (1 + 1e-6), rho0.dims)
 
     monkeypatch.setattr(measurements, "closest_separable", off_trace)
     code = main(["witness", "bell2", "--out", str(tmp_path)])

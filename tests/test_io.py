@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from witgeo import cli
 from witgeo import io as wio
-from witgeo.linalg import DensityState, SystemShape
+from witgeo.linalg import DensityState
 from witgeo.measurements import qudit_decomposition
 from witgeo.states import closest_separable, max_entangled
 from witgeo.upb import tiles, uniform_mixture
@@ -289,9 +289,9 @@ def test_matrix_doc_validates():
 def test_state_round_trip(tmp_path):
     st = closest_separable(max_entangled(3))
     path = tmp_path / "state.json"
-    wio.save_state(path, st)
+    wio.save_matrix(path, st.mat, st.dims)
     mat, dims = read_matrix(path)
-    back = DensityState(mat, SystemShape(dims))
+    back = DensityState(mat, dims)
     assert back.dims == (3, 3)
     assert np.array_equal(back.mat, st.mat)
 
@@ -301,7 +301,7 @@ def test_state_loading_validates(tmp_path):
     wio.save_matrix(path, np.eye(4), (2, 2))  # trace 4, not a state
     mat, dims = read_matrix(path)
     with pytest.raises(ValueError, match="trace"):
-        DensityState(mat, SystemShape(dims))
+        DensityState(mat, dims)
 
 
 def test_witness_round_trip(tmp_path):
@@ -343,6 +343,6 @@ def test_upb_round_trip(tmp_path):
     path.write_text(json.dumps(upb_doc(upb)))
     back = wio.load_upb(path)
     assert back.m == 5
-    assert back.shape.dims == (3, 3)
+    assert back.dims == (3, 3)
     # factors are re-normalized on load, so equality holds to an ulp
     assert np.abs(uniform_mixture(back).mat - uniform_mixture(upb).mat).max() <= 1e-15

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witgeo.linalg import (
-    DensityState,
-    ProductProjection,
-    SystemShape,
-    hs_inner,
-    partial_transpose,
-    tensor,
-)
+from witgeo.linalg import DensityState, hs_inner, partial_transpose, tensor
 
 from hermitian import hermitian_eigen
 from product_projection import product_matrix
@@ -177,23 +170,23 @@ class TestHermitianEigen:
 
 class TestDensityState:
     def test_valid(self):
-        st = DensityState(BELL, SystemShape((2, 2)))
+        st = DensityState(BELL, (2, 2))
         assert st.n == 4
         assert st.dims == (2, 2)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
-            DensityState(np.eye(4), SystemShape((2, 2)))
+            DensityState(np.eye(4), (2, 2))
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
         with pytest.raises(ValueError):
-            DensityState(m, SystemShape((2, 2)))
+            DensityState(m, (2, 2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            DensityState(BELL, SystemShape((2, 3)))
+            DensityState(BELL, (2, 3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("entries", [[(2, 2)], [(0, 1), (1, 0)]])
@@ -202,37 +195,22 @@ class TestDensityState:
         for entry in entries:
             m[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            DensityState(m, SystemShape((2, 2)))
+            DensityState(m, (2, 2))
 
     def test_matrix_is_readonly(self):
-        st = DensityState(BELL, SystemShape((2, 2)))
+        st = DensityState(BELL, (2, 2))
         with pytest.raises(ValueError):
             st.mat[0, 0] = 17.0
 
 
-class TestSystemShape:
-    def test_size(self):
-        assert SystemShape((2, 3, 5)).size == 30
-
-    def test_rejects_small_dims(self):
-        with pytest.raises(ValueError):
-            SystemShape((2, 1))
-
-
-class TestProductProjection:
-    def test_requires_unit_factors(self):
-        with pytest.raises(ValueError):
-            ProductProjection((np.array([1.0, 1.0]),))
-
-    def test_matrix(self):
-        p = ProductProjection((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-        m = product_matrix(p)
-        assert m[1, 1] == pytest.approx(1.0)
-        assert np.trace(m) == pytest.approx(1.0)
+def test_product_matrix():
+    m = product_matrix((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    assert m[1, 1] == pytest.approx(1.0)
+    assert np.trace(m) == pytest.approx(1.0)
 
 
 def test_random_density_is_valid():
     rng = np.random.default_rng(5)
-    st = DensityState(random_density(6, rng), SystemShape((2, 3)))
+    st = DensityState(random_density(6, rng), (2, 3))
     assert abs(np.trace(st.mat) - 1) <= 1e-12
     assert np.linalg.eigvalsh(st.mat).min() > 0  # the constructor takes no spectrum

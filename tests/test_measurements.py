@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from witgeo import measurements
-from witgeo.linalg import DensityState, SystemShape, tensor
+from witgeo.linalg import DensityState, tensor
 from witgeo.measurements import (
     _xy_axis_basis,
     MeasurementSetting,
@@ -306,7 +306,7 @@ class TestShotEstimate:
     def test_bit_exact_reproducibility(self):
         dec = qudit_decomposition(3)
         mix = 0.6 * max_entangled(3).mat + 0.4 * completely_random((3, 3)).mat
-        rho = DensityState(mix, SystemShape((3, 3)))
+        rho = DensityState(mix, (3, 3))
         a = shot_estimate(dec, rho, 5000, seed=17)
         b = shot_estimate(dec, rho, 5000, seed=17)
         assert a == b
@@ -388,7 +388,7 @@ class TestMeasurementSettingValidation:
     def test_joint_probabilities_reject_permuted_dims(self):
         # same N = 6, other local shape: a reshape alone would read rows as the wrong parties
         setting = MeasurementSetting((np.eye(2), np.eye(3)), np.zeros((2, 3)))
-        rho = DensityState(np.eye(6) / 6, SystemShape((3, 2)))
+        rho = DensityState(np.eye(6) / 6, (3, 2))
         with pytest.raises(ValueError, match="state shape"):
             setting.joint_probabilities(rho)
 
@@ -408,7 +408,7 @@ def test_kernels_match_joint_isometry_reference(dims, seed):
         tuple(_random_basis(d, rng) for d in dims), rng.normal(size=dims)
     )
     n = int(np.prod(dims))
-    rho = DensityState(random_density(n, rng), SystemShape(dims))
+    rho = DensityState(random_density(n, rng), dims)
 
     m = setting.weighted_sum()
     assert np.abs(m - setting_reference.weighted_sum(setting)).max() <= 1e-12

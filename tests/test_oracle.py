@@ -130,6 +130,9 @@ class TestMinOverProducts:
         res = min_over_products(h, dims, SeeSawConfig(restarts=restarts, seed=7))
         direct = np.trace(h @ product_matrix(res.argmin)).real
         assert abs(direct - res.value) <= 1e-12
+        assert len(res.argmin) == len(dims)
+        for f in res.argmin:
+            assert abs(np.linalg.norm(f) - 1) <= 1e-12
 
     def test_nine_parties(self):
         # the largest overlap of a product state with GHZ is 1/2 at any n
@@ -164,7 +167,7 @@ class TestBatchedSeeSaw:
         assert got.value == want.value
         assert got.consensus == want.consensus
         assert got.values == want.values
-        for a, b in zip(got.argmin.factors, want.argmin.factors, strict=True):
+        for a, b in zip(got.argmin, want.argmin, strict=True):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))

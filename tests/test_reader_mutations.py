@@ -188,3 +188,15 @@ def test_dimension_that_is_not_an_integer_is_bad_input(tmp_path, token):
     code, out, err = _run(["witness", "upb", str(upb_path), "--seed", "1", "--out", str(tmp_path)])
     assert (code, out) == (2, "")
     assert str(upb_path) in err
+
+
+def test_local_dimension_below_two_is_bad_input(tmp_path):
+    # the reader admits 1 as a dimension; UpbSet rejects it, naming the bound
+    path = tmp_path / "upb.json"
+    doc = upb_doc(tiles())
+    doc["shape"] = [1, 3]
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert str(path) in err
+    assert ">= 2" in err

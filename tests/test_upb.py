@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import BadInput, SystemShape, hs_inner, partial_transpose
+from witgeo.linalg import BadInput, hs_inner, partial_transpose
 from witgeo.oracle import SeeSawConfig
 from witgeo.states import completely_random
 from witgeo.upb import (
@@ -36,7 +36,7 @@ def eps_estimate(tiles_upb):
 class TestTilesFamily:
     def test_counts(self, tiles_upb):
         assert tiles_upb.m == 5
-        assert tiles_upb.shape.size == 9
+        assert tiles_upb.n == 9
 
     def test_gram_is_identity(self, tiles_upb):
         assert np.abs(tiles_upb.gram() - np.eye(5)).max() <= 1e-12
@@ -44,13 +44,18 @@ class TestTilesFamily:
     def test_rejects_non_orthonormal(self):
         e = np.eye(3)
         with pytest.raises(ValueError):
-            UpbSet(SystemShape((3, 3)), ((e[0], e[0]), (e[0], e[0] + e[1])))
+            UpbSet((3, 3), ((e[0], e[0]), (e[0], e[0] + e[1])))
+
+    def test_rejects_local_dimension_below_two(self):
+        e = np.eye(2)
+        with pytest.raises(ValueError, match=">= 2"):
+            UpbSet((2, 1), ((e[0], e[0][:1]),))
 
     def test_rejects_complete_family(self):
         e = np.eye(2)
         vecs = tuple((e[i], e[j]) for i in range(2) for j in range(2))
         with pytest.raises(ValueError):
-            UpbSet(SystemShape((2, 2)), vecs)
+            UpbSet((2, 2), vecs)
 
 
 class TestUniformMixture:
@@ -93,7 +98,7 @@ class TestBoundEntangled:
         # the complement of the three projectors dips to about -1.4e-10
         e0, e1 = np.eye(2)
         tilted = e1 + 0.99e-10 * e0
-        upb = UpbSet(SystemShape((2, 2)), ((e0, e0), (e0, tilted), (tilted, e0)))
+        upb = UpbSet((2, 2), ((e0, e0), (e0, tilted), (tilted, e0)))
         with pytest.raises(ValueError, match="complement state not PSD"):
             bound_entangled(upb)
 
@@ -134,7 +139,7 @@ class TestEpsilonEstimate:
         # computational-basis products are extendible: the overlap floor is 0
         e = np.eye(3)
         vecs = tuple((e[i], e[j]) for i, j in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
-        extendible = UpbSet(SystemShape((3, 3)), vecs)
+        extendible = UpbSet((3, 3), vecs)
         with pytest.raises(ValueError, match="extendible"):
             estimate_epsilon(extendible, SeeSawConfig(restarts=16, seed=3))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witgeo.linalg import BadInput, DensityState, SystemShape, hs_inner
+from witgeo.linalg import BadInput, DensityState, hs_inner
 from witgeo.measurements import ghz_witness, standard_witness, three_qubit_witness
 from witgeo.spin import is_prime
 from witgeo.states import (
@@ -87,8 +87,8 @@ class TestSegmentWitness:
     def test_random_pairs_agree(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
-            tau = DensityState(random_density(4, rng), SystemShape((2, 2)))
+            rho = DensityState(random_density(4, rng), (2, 2))
+            tau = DensityState(random_density(4, rng), (2, 2))
             s0 = rng.uniform(0.05, 0.95)
             w1 = segment_witness(rho, tau, s0)
             w2 = nearest_witness(rho, tau)
@@ -114,7 +114,7 @@ class TestEvaluate:
         w = bell_witness()
         diff = w.rho0.mat - w.tau0.mat
         for _ in range(100):
-            rho = DensityState(random_density(4, rng), SystemShape((2, 2)))
+            rho = DensityState(random_density(4, rng), (2, 2))
             lhs = evaluate(w, rho)
             rhs = -hs_inner(diff, rho.mat - w.tau0.mat).real
             assert abs(lhs - rhs) <= 1e-10
@@ -189,7 +189,7 @@ class TestTwoQubitNoiseThreshold:
                         if delta == 0.0
                         else noise_ball((2, 2), delta, seed)
                     )
-                    rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.shape)
+                    rho = DensityState(p * target.mat + (1 - p) * sigma.mat, target.dims)
                     assert evaluate(w, rho) < -DETECTION_TOL
 
 

@@ -14,6 +14,6 @@ def pairs(vec) -> list[list[float]]:
 
 def upb_doc(upb) -> dict:
     return {
-        "shape": list(upb.shape.dims),
+        "shape": list(upb.dims),
         "vectors": [[pairs(factor) for factor in vec] for vec in upb.vectors],
     }

@@ -19,7 +19,6 @@ these with ``upb_document.upb_doc`` and run them through ``upb FILE``.
 
 import numpy as np
 
-from witgeo.linalg import SystemShape
 from witgeo.upb import UpbSet
 
 
@@ -27,7 +26,7 @@ def shifts() -> UpbSet:
     zero, one = np.eye(2)
     plus, minus = zero + one, zero - one
     return UpbSet(
-        SystemShape((2, 2, 2)),
+        (2, 2, 2),
         ((zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)),
     )
 
@@ -35,7 +34,7 @@ def shifts() -> UpbSet:
 def pyramid() -> UpbSet:
     h = np.sqrt(1 + np.sqrt(5)) / 2
     v = [np.array([np.cos(2 * np.pi * j / 5), np.sin(2 * np.pi * j / 5), h]) for j in range(5)]
-    return UpbSet(SystemShape((3, 3)), tuple((v[j], v[2 * j % 5]) for j in range(5)))
+    return UpbSet((3, 3), tuple((v[j], v[2 * j % 5]) for j in range(5)))
 
 
 def rotated_shifts(theta: float) -> UpbSet:
@@ -43,6 +42,6 @@ def rotated_shifts(theta: float) -> UpbSet:
     e = np.cos(theta) * zero + np.sin(theta) * one
     e_perp = -np.sin(theta) * zero + np.cos(theta) * one
     return UpbSet(
-        SystemShape((2, 2, 2)),
+        (2, 2, 2),
         ((zero, one, e), (one, e, zero), (e, zero, one), (e_perp, e_perp, e_perp)),
     )
