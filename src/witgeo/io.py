@@ -91,7 +91,7 @@ def matrix_doc(mat: np.ndarray, dims) -> dict:
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
     pairs = _entries(mat)
     # by bit pattern, so that an entry holding -0.0 is stored
-    index = np.flatnonzero(pairs.view(np.uint64).any(axis=1))
+    index = np.flatnonzero(np.bitwise_or(*pairs.view(np.uint64).T))
     return {"dims": dims, "index": index, "entries": pairs[index]}
 
 

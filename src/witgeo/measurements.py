@@ -36,10 +36,9 @@ from .spin import eigenbasis
 from .states import (
     closest_separable,
     ghz,
-    ghz_corner_mix,
-    ghz_dephased,
     max_entangled,
     three_qubit_separable_candidates,
+    x_matrix,
 )
 from .witness import Witness, nearest_witness
 
@@ -222,24 +221,20 @@ def ghz_witness(n: int) -> GhzWitness:
 
         x = <Delta - Q, rho0 - Q> / |Delta - Q|^2 = (N-2)^2 / (N^2 - 2N + 4),
 
-    which lies in (0, 1) for every n >= 2.
-    """
+    which lies in (0, 1) for every n >= 2.  tau0 and the convex form are built
+    from their X entries (states.x_matrix); the form is checked against W entrywise."""
     if n < 2:
         raise BadInput(f"ghz needs at least two parties, got n = {n}")
     rho0 = ghz(n)
-    delta = ghz_dephased(n)
-    corner = ghz_corner_mix(n)
     size = 2**n
 
     x = (size - 2) ** 2 / (size * size - 2 * size + 4)
-    tau0 = DensityState(x * delta.mat + (1 - x) * corner.mat, rho0.dims)
+    q = (1 - x) / size  # x*Delta + (1-x)*Q bit for bit, as 1/N is a power of 2
+    tau0 = DensityState(x_matrix(size, q, x / 2 + q, q), rho0.dims)
     wit = nearest_witness(rho0, tau0)
 
-    a = wit.c0 + 0.5
-    b = 1.0 - x
-    c = 2 ** (n - 1) - 1 + x
-    recon = a * np.eye(size) - b * delta.mat - c * corner.mat
-    dev = np.abs(recon - wit.matrix).max()
+    a, b, c = wit.c0 + 0.5, 1.0 - x, 2 ** (n - 1) - 1 + x
+    dev = np.abs(x_matrix(size, a - c / size, a - b / 2 - c / size, -c / size) - wit.matrix).max()
     if dev > 1e-10:
         raise AssertionError(f"witness coefficients inconsistent by {dev:.3e}")
     if min(a, b, c) <= 0:

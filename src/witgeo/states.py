@@ -71,30 +71,31 @@ def closest_separable(rho0: DensityState) -> DensityState:
 # n-qubit GHZ family
 
 
+def x_matrix(size: int, diag, end, corner) -> np.ndarray:
+    """The GHZ family's X shape: diag on the diagonal, end at its ends, corner in the corners."""
+    mat = np.zeros((size, size), dtype=complex)
+    mat.flat[:: size + 1] = diag
+    mat[0, 0] = mat[-1, -1] = end
+    mat[0, -1] = mat[-1, 0] = corner
+    return mat
+
+
 def ghz(n: int) -> DensityState:
     """Projector onto (|0...0> + |1...1>)/sqrt(2) for n qubits."""
     if n < 2:
         raise ValueError("need at least two parties")
-    size = 2**n
-    psi = np.zeros(size, dtype=complex)
-    psi[0] = psi[-1] = 1.0 / np.sqrt(2)
-    return DensityState(np.outer(psi, psi.conj()), (2,) * n)
+    v = np.complex128(1 / np.sqrt(2))
+    return DensityState(x_matrix(2**n, 0, v * v.conj(), v * v.conj()), (2,) * n)
 
 
 def ghz_dephased(n: int) -> DensityState:
     """Equal mixture of |0...0> and |1...1> (the GHZ state without coherences)."""
-    size = 2**n
-    mat = np.zeros((size, size), dtype=complex)
-    mat[0, 0] = mat[-1, -1] = 0.5
-    return DensityState(mat, (2,) * n)
+    return DensityState(x_matrix(2**n, 0, 0.5, 0), (2,) * n)
 
 
 def ghz_corner_mix(n: int) -> DensityState:
     """Separable companion state: I/N plus corner coherences of weight 1/2^n."""
-    size = 2**n
-    mat = np.eye(size, dtype=complex) / size
-    mat[0, -1] = mat[-1, 0] = 1.0 / size
-    return DensityState(mat, (2,) * n)
+    return DensityState(x_matrix(2**n, 1 / 2**n, 1 / 2**n, 1 / 2**n), (2,) * n)
 
 
 def ghz_segment_weight(n: int) -> float:

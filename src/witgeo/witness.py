@@ -68,11 +68,14 @@ class Witness:
 def nearest_witness(rho0: DensityState, tau0: DensityState) -> Witness:
     """W = tau0 + c0*I - rho0, c0 = Tr[tau0 (rho0 - tau0)]: the hyperplane through
     tau0 with normal rho0 - tau0.  rho0 = tau0 gives W = 0, which Witness rejects.
-    """
+    W is formed as tau0 - rho0, without an identity matrix, then its diagonal as
+    (tau0 + c0) - rho0."""
     if rho0.dims != tau0.dims:
         raise ValueError(f"shape mismatch: {rho0.dims} vs {tau0.dims}")
     c0 = hs_inner(tau0.mat, rho0.mat - tau0.mat).real
-    return Witness(tau0.mat + c0 * np.eye(rho0.n) - rho0.mat, c0, rho0, tau0)
+    mat = tau0.mat - rho0.mat
+    mat.flat[:: rho0.n + 1] = tau0.mat.diagonal() + c0 - rho0.mat.diagonal()
+    return Witness(mat, c0, rho0, tau0)
 
 
 def evaluate(w: Witness, rho: DensityState) -> float:

@@ -550,6 +550,30 @@ def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra)
 
 
 @pytest.mark.parametrize(
+    "argv,validations",
+    [
+        (["witness", "ghz", "6"], 2),
+        (["decompose", "ghz", "6"], 2),
+        (["estimate", "ghz", "6", "--state", "d0", "--seed", "1", "--shots", "10"], 3),
+        (["witness", "qudit", "5"], 2),
+        (["witness", "upb", "tiles", "--seed", "1", "--restarts", "4"], 5),
+    ],
+)
+def test_density_states_per_command(capsys, monkeypatch, tmp_path, argv, validations):
+    # a GHZ command validates rho0 and tau0 only (d0 for --state d0): tau0 and
+    # the convex-form check are built from their X entries, not from the
+    # dephased and corner states
+    calls = []
+    post_init = DensityState.__post_init__
+    monkeypatch.setattr(
+        DensityState, "__post_init__", lambda self: calls.append(self.dims) or post_init(self)
+    )
+    monkeypatch.chdir(tmp_path)  # witness and decompose write to the working directory
+    assert main(argv) == 0
+    assert len(calls) == validations, calls
+
+
+@pytest.mark.parametrize(
     "argv,sums",
     [
         (["witness", "ghz", "5"], 0),
@@ -856,10 +880,10 @@ def test_builder_fault_is_internal(capsys, monkeypatch, tmp_path):
 
 
 def test_key_error_in_builder_is_internal(capsys, monkeypatch, tmp_path):
-    def missing_key(n):
+    def missing_key(rho0, tau0):
         raise KeyError("a")
 
-    monkeypatch.setattr(measurements, "ghz_corner_mix", missing_key)
+    monkeypatch.setattr(measurements, "nearest_witness", missing_key)
     code = main(["witness", "ghz", "3", "--out", str(tmp_path)])
     assert code == cli.EXIT_INTERNAL
     assert capsys.readouterr().err == "internal error: KeyError: 'a'\n"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witgeo.linalg import DensityState, hs_inner, partial_transpose, tensor
+from witgeo.linalg import (
+    DensityState,
+    _hermitian_deviation,
+    hs_inner,
+    is_hermitian,
+    partial_transpose,
+    tensor,
+)
 
 from hermitian import hermitian_eigen
 from product_projection import product_matrix
@@ -181,7 +188,7 @@ class TestDensityState:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not Hermitian: deviation 1\.000e-01$"):
             DensityState(m, (2, 2))
 
     def test_shape_mismatch(self):
@@ -201,6 +208,24 @@ class TestDensityState:
         st = DensityState(BELL, (2, 2))
         with pytest.raises(ValueError):
             st.mat[0, 0] = 17.0
+
+
+class TestHermitianDeviation:
+    # the check runs over row blocks of the upper triangle; sizes straddle the
+    # block edges (one block up to N = 128, several from 129 on)
+    @pytest.mark.parametrize("n", (1, 2, 127, 128, 129, 255, 256, 257, 300, 700))
+    def test_equals_the_dense_maximum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert _hermitian_deviation(a) == np.abs(a - a.conj().T).max()
+
+    def test_nan_in_the_last_block_is_not_hermitian(self):
+        # Python's max would skip it: max([1.0, nan]) is 1.0
+        a = np.eye(700, dtype=complex)
+        a[-1, -1] = np.nan
+        assert np.isnan(_hermitian_deviation(a))
+        assert not is_hermitian(a)
+        assert is_hermitian(np.eye(700))
 
 
 def test_product_matrix():

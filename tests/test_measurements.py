@@ -1,5 +1,7 @@
 """Measurement settings, witness decompositions, finite-shot simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,28 @@ class TestGhz:
         equatorial = ghz_settings(ghz_witness(n)).settings[1:]
         mean = sum(setting.weighted_sum() for _, setting in equatorial) / n
         assert np.abs(mean - ghz_corner_mix(n).mat).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_x_forms_match_dense_forms(self, n):
+        # tau0 and W are built from their X entries; the dense convex forms
+        # are the reference, and must agree bit for bit
+        g = ghz_witness(n)
+        tau0 = g.mixing * ghz_dephased(n).mat + (1 - g.mixing) * ghz_corner_mix(n).mat
+        assert np.array_equal(g.witness.tau0.mat, tau0)
+        dense = tau0 + g.witness.c0 * np.eye(2**n) - ghz(n).mat
+        assert np.array_equal(g.witness.matrix, dense)
+
+    def test_witness_peak_memory(self):
+        # rho0, tau0 and W, each formed once, plus the temporaries of one
+        # inner product
+        full = 16 * 4**10
+        tracemalloc.start()
+        try:
+            ghz_witness(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * full, f"{peak / full:.2f} full-size matrices"
 
     def test_setting_fault_fails(self, monkeypatch):
         axis_basis = measurements._xy_axis_basis
