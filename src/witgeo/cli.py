@@ -55,11 +55,7 @@ EXIT_INTERNAL = 3
 
 
 def _check_size(size: int, form: str) -> None:
-    """Reject a target of dimension N = size, written as ``form`` in the message.
-
-    Runs before any other parameter check that could take time, such as
-    the primality test of a huge qudit dimension.
-    """
+    """Reject N = size, written as form; before slower checks such as the primality test."""
     if size > MAX_SIZE:
         raise BadInput(f"target too large for dense matrices: N = {form} > {MAX_SIZE}")
 
@@ -75,22 +71,19 @@ class Target(NamedTuple):
 def _build_target(args) -> Target:
     kind = args.target
     if kind == "bell2":
-        w = standard_witness(2)
-        return Target("bell2", w, lambda: qudit_decomposition(2), {})
+        return Target("bell2", standard_witness(2), lambda: qudit_decomposition(2), {})
     if kind == "qudit":
         d = _int_param(args.params, 0, "d")
         _check_size(d * d, f"{d}^2")
         if not is_prime(d):
             raise BadInput(f"qudit dimension must be prime, got {d}")
-        w = standard_witness(d)
-        return Target(f"qudit{d}", w, lambda: qudit_decomposition(d), {})
+        return Target(f"qudit{d}", standard_witness(d), lambda: qudit_decomposition(d), {})
     if kind == "ghz":
         n = _int_param(args.params, 0, "n")
         _check_size(2 ** min(n, 13), f"2^{n}")  # capped: 2^n of a huge n is itself huge
         g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
-        w = g.witness
-        return Target(f"ghz{n}", w, lambda: ghz_settings(g), extras)
+        return Target(f"ghz{n}", g.witness, lambda: ghz_settings(g), extras)
     if kind == "threeq":
         m = _float_param(args.params, 0, "m")
         t = _float_param(args.params, 1, "t")
@@ -99,7 +92,6 @@ def _build_target(args) -> Target:
     # upb, the last target the parser admits
     source = args.params[0] if args.params else "tiles"
     upb = tiles() if source == "tiles" else wio.load_upb(source)
-    _check_size(upb.n, "x".join(map(str, upb.dims)))
     eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=args.restarts, seed=args.seed))
     extras = {
         "epsilon": eps,
@@ -115,16 +107,16 @@ def _int_param(params, idx, name) -> int:
     """An integer from command-line text; the builders check its range."""
     try:
         return int(params[idx])
-    except (IndexError, ValueError):
-        raise BadInput(f"missing or invalid integer parameter {name!r}") from None
+    except ValueError:
+        raise BadInput(f"invalid integer parameter {name!r}") from None
 
 
 def _float_param(params, idx, name) -> float:
     """A finite float from command-line text."""
     try:
         value = float(params[idx])
-    except (IndexError, ValueError):
-        raise BadInput(f"missing or invalid parameter {name!r}") from None
+    except ValueError:
+        raise BadInput(f"invalid parameter {name!r}") from None
     if not math.isfinite(value):
         raise BadInput(f"parameter {name!r} must be finite, got {value}")
     return value
@@ -265,7 +257,10 @@ def cmd_estimate(args) -> tuple:
         if args.decomposition is None:
             raise AssertionError(f"decomposition does not measure the witness: {text}")
         raise BadInput(f"decomposition {args.decomposition} measures another target: {text}")
-    z = (est.estimate - exact) / est.stderr if est.stderr > 0 else 0.0
+    # floored at the rounding scale: near 1e17 shots, outcomes of probability ~1e-17 get drawn
+    scale = abs(dec.identity_coeff) + sum(abs(sw) * abs(s.weights).max() for sw, s in dec.settings)
+    stderr = max(est.stderr, np.finfo(float).eps * scale)
+    z = (est.estimate - exact) / stderr if est.stderr > 0 else 0.0
     body = {
         "target": target.name,
         "inputs": {"state": args.state, "shots_per_setting": args.shots},
@@ -299,9 +294,7 @@ def cmd_threshold(args) -> tuple:
         outputs = {"threshold": _scalar(value, tol=1e-15)}
     elif kind == "qudit":
         d = _int_param(args.params, 0, "d")
-        amps = _parse_amps(args.params[1]) if len(args.params) > 1 else None
-        if amps is None:
-            raise BadInput("qudit threshold needs amplitudes (file or comma list)")
+        amps = _parse_amps(args.params[1])
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise BadInput("amplitudes cannot all be zero")
@@ -333,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_target(name, text):
         p = sub.add_parser(name, help=text)
         p.add_argument("target", choices=["bell2", "qudit", "ghz", "threeq", "upb"])
-        p.add_argument("params", nargs="*", help="target parameters")
+        p.add_argument("params", nargs="*", help="qudit D, ghz N, threeq M T, upb [tiles|FILE]")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--restarts", type=int, default=32)
         add_report(p)
@@ -342,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_target("witness", "construct a witness").add_argument("--out", default=".")
     add_target("decompose", "emit measurement settings").add_argument("--out", default=".")
     add_target("verify", "run the invariant suite")
-    est = add_target("estimate", "finite-shot estimate of Tr(W rho)")
+    est = add_target("estimate", "finite-shot estimate of Tr(W rho) and its z-score")
     est.add_argument("--shots", type=int, default=10000)
     est.add_argument("--state", choices=["rho0", "tau0", "d0"], default="rho0")
     est.add_argument(
@@ -350,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     thr = sub.add_parser("threshold", help="detection thresholds and predicates")
     thr.add_argument("kind", choices=["twoqubit", "qudit", "frustum"])
-    thr.add_argument("params", nargs="*")
+    thr.add_argument(
+        "params", nargs="*",
+        help="twoqubit A B DELTA, qudit D AMPS P DELTA, frustum P DELTA N M B EPS",
+    )
     add_report(thr)
     return parser
 
@@ -364,8 +360,17 @@ _HANDLERS = {
 }
 
 
+# How many positional parameters each target and threshold kind takes.
+_PARAM_COUNTS = {"bell2": (0,), "qudit": (1,), "ghz": (1,), "threeq": (2,), "upb": (0, 1),
+                 "threshold twoqubit": (3,), "threshold qudit": (4,), "threshold frustum": (6,)}
+
+
 def _check_options(args) -> None:
-    """Reject --seed and --restarts values for every command that takes them."""
+    """Reject a parameter count, and --seed and --restarts values, before any work."""
+    form = f"threshold {args.kind}" if args.command == "threshold" else args.target
+    if len(args.params) not in _PARAM_COUNTS[form]:
+        counts = " or ".join(map(str, _PARAM_COUNTS[form]))
+        raise BadInput(f"{form}: parameter count {len(args.params)}, expected {counts}")
     if not hasattr(args, "seed"):  # threshold takes neither
         return
     if args.seed is None and (args.command in ("verify", "estimate") or args.target == "upb"):

@@ -204,10 +204,7 @@ class GhzWitness(NamedTuple):
 
 
 class GhzDecomposition(NamedTuple):
-    a: float
-    b: float
-    c: float
-    mixing: float           # weight of the dephased part inside tau0
+    # a GHZ witness and its residual-checked settings; a, b, c and mixing stay on GhzWitness
     witness: Witness
     decomposition: WitnessDecomposition
 
@@ -272,7 +269,7 @@ def ghz_decomposition(n: int) -> GhzDecomposition:
     dev = dec.residual(g.witness)
     if dev > 1e-10:
         raise AssertionError(f"GHZ settings reconstruct the witness only to {dev:.3e}")
-    return GhzDecomposition(g.a, g.b, g.c, g.mixing, g.witness, dec)
+    return GhzDecomposition(g.witness, dec)
 
 
 def complete_basis(v: np.ndarray) -> np.ndarray:

@@ -4,15 +4,14 @@
 
 Bipartite side: maximally entangled qudit states, Schmidt-diagonal pure
 states and the closest separable state of the maximally entangled one.
-Multipartite side: the n-qubit GHZ family with its dephased and
-corner-correlated separable companions, and the two-parameter
+Multipartite side: the n-qubit GHZ family, built from its X shape
+(x_matrix) with its dephased separable companion, and the two-parameter
 three-qubit bound entangled family rho(m, t) with its separable candidates.
 
-Every constructor but pauli_parity_state (a bare 8 x 8 matrix) returns a
-DensityState, a convex combination of positive semidefinite matrices by its
-form.  Constructors with a second, independent formula for the same matrix
-(the three-qubit family, the GHZ segment state) evaluate both routes and
-refuse to return on disagreement.
+Every constructor but x_matrix and pauli_parity_state (bare matrices) returns
+a DensityState, a convex combination of positive semidefinite matrices by its
+form.  The three-qubit family, which has a second, independent formula, is
+checked against it on construction.
 """
 
 from __future__ import annotations
@@ -91,31 +90,6 @@ def ghz(n: int) -> DensityState:
 def ghz_dephased(n: int) -> DensityState:
     """Equal mixture of |0...0> and |1...1> (the GHZ state without coherences)."""
     return DensityState(x_matrix(2**n, 0, 0.5, 0), (2,) * n)
-
-
-def ghz_corner_mix(n: int) -> DensityState:
-    """Separable companion state: I/N plus corner coherences of weight 1/2^n."""
-    return DensityState(x_matrix(2**n, 1 / 2**n, 1 / 2**n, 1 / 2**n), (2,) * n)
-
-
-def ghz_segment_weight(n: int) -> float:
-    """Mixing weight s0 = 1/(2^(n-1) + 1) of the last separable segment point."""
-    return 1.0 / (2 ** (n - 1) + 1)
-
-
-def ghz_segment_state(n: int) -> DensityState:
-    """Last separable state on the segment from I/N to the GHZ state.
-
-    Computed both as (1-s0)*I/N + s0*rho0 and as the convex combination
-    s0*dephased + (1-s0)*corner_mix; the two must agree entrywise.
-    """
-    s0 = ghz_segment_weight(n)
-    via_segment = (1 - s0) * (np.eye(2**n, dtype=complex) / 2**n) + s0 * ghz(n).mat
-    via_parts = s0 * ghz_dephased(n).mat + (1 - s0) * ghz_corner_mix(n).mat
-    dev = np.abs(via_segment - via_parts).max()
-    if dev > 1e-12:
-        raise AssertionError(f"internal consistency failure: segment forms differ by {dev:.3e}")
-    return DensityState(via_segment, (2,) * n)
 
 
 # ----------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, tensor
+from .linalg import MAX_SIZE, BadInput, DensityState, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
 from .witness import Witness, nearest_witness
 
@@ -51,6 +51,9 @@ class UpbSet:
         dims = tuple(int(d) for d in self.dims)
         if not dims or min(dims) < 2:
             raise ValueError(f"local dimensions must all be >= 2, got {dims}")
+        if math.prod(dims) > MAX_SIZE:  # before any Gram matrix, which grows as m^2
+            form = "x".join(map(str, dims))
+            raise ValueError(f"target too large for dense matrices: N = {form} > {MAX_SIZE}")
         object.__setattr__(self, "dims", dims)
         stored = []
         for factors in self.vectors:

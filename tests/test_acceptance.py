@@ -15,6 +15,7 @@ import pytest
 from witgeo.linalg import DensityState, hs_inner, partial_transpose, tensor
 from witgeo.measurements import (
     ghz_decomposition,
+    ghz_witness,
     qudit_decomposition,
     shot_estimate,
     standard_witness,
@@ -25,9 +26,6 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     ghz,
-    ghz_corner_mix,
-    ghz_dephased,
-    ghz_segment_weight,
     max_entangled,
     schmidt_state,
     three_qubit_family,
@@ -41,10 +39,12 @@ from witgeo.witness import (
     two_qubit_noise_threshold,
 )
 
+from ghz_reference import corner_mix, dephased, segment_weight
 from paper_states import noise_ball
 from product_bound import bell_bound_three_qubit, product_bound_objective, product_from_angles
 from product_projection import product_matrix
 from random_states import random_density
+from segment_reference import segment_state
 from spin_reference import projection_family, spin_matrix, spin_relations
 
 W2Q = np.zeros((4, 4))
@@ -300,16 +300,18 @@ def test_criterion_06_three_qubit_family():
 def test_criterion_07_ghz_family():
     crit = Criterion(7, "GHZ family")
     for n in range(2, 7):
-        s0 = ghz_segment_weight(n)
+        s0 = segment_weight(n)
+        via_segment = segment_state(ghz(n), s0).mat
+        floor = np.linalg.eigvalsh(partial_transpose(via_segment, [0], (2,) * n)).min()
         crit.check(
-            f"segment weight n={n}", s0 == 1 / (2 ** (n - 1) + 1), f"s0 = {s0}"
+            f"segment weight n={n}", abs(floor) <= 1e-12,
+            f"s0 = {s0}, partial-transpose floor {floor:.3e}",
         )
-        via_segment = (1 - s0) * completely_random((2,) * n).mat + s0 * ghz(n).mat
-        via_parts = s0 * ghz_dephased(n).mat + (1 - s0) * ghz_corner_mix(n).mat
+        via_parts = s0 * dephased(n) + (1 - s0) * corner_mix(n)
         dev = np.abs(via_segment - via_parts).max()
         crit.check(f"segment forms n={n}", dev <= 1e-12, f"max deviation {dev:.3e}")
 
-    g2 = ghz_decomposition(2)
+    g2 = ghz_witness(2)
     ok = (
         abs(g2.a - 2 / 3) <= 1e-10
         and abs(g2.b - 2 / 3) <= 1e-10
@@ -320,7 +322,7 @@ def test_criterion_07_ghz_family():
     crit.check("two-party witness matrix", dev <= 1e-10, f"max deviation {dev:.3e}")
 
     for n in (3, 4):
-        g = ghz_decomposition(n)
+        g = ghz_witness(n)
         crit.check(
             f"positive coefficients n={n}", min(g.a, g.b, g.c) > 0, f"{(g.a, g.b, g.c)}"
         )

@@ -23,7 +23,7 @@ from witgeo.cli import main
 from witgeo.linalg import DensityState
 from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.oracle import MAX_RESTARTS, SeeSawConfig
-from witgeo.upb import estimate_epsilon
+from witgeo.upb import UpbSet, estimate_epsilon
 from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
 
@@ -148,6 +148,22 @@ class TestWitnessCommand:
         assert out == ""
         assert f"N = {form} > 4096" in err
         assert list(tmp_path.glob("*witness*")) == []
+
+
+    def test_oversized_upb_file_builds_no_gram_matrix(self, capsys, monkeypatch, tmp_path):
+        # the Gram matrix of m vectors takes m^2 memory: the size bound comes first
+        def gram(self):
+            raise AssertionError("Gram matrix built for an oversized UPB")
+
+        monkeypatch.setattr(UpbSet, "gram", gram)
+        path = tmp_path / "upb67.json"
+        e = np.eye(67)
+        vectors = [[pairs(e[k]), pairs(e[k])] for k in range(3)]
+        path.write_text(json.dumps({"shape": [67, 67], "vectors": vectors}))
+        code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "N = 67x67 > 4096" in err
 
 
 class TestUpbLadder:
@@ -371,6 +387,23 @@ class TestEstimateCommand:
         )
         assert code == 0
         assert doc["outputs"]["exact"]["value"] == pytest.approx(0.0, abs=1e-12)
+        assert abs(doc["outputs"]["z_score"]["value"]) <= 5
+
+    @pytest.mark.parametrize("shots", (10**17, 2**62), ids=["1e17", "2^62"])
+    @pytest.mark.parametrize(
+        "target", [("qudit", "3", "2"), ("qudit", "5", "2"), ("ghz", "3", "1")],
+        ids=["qudit3", "qudit5", "ghz3"],
+    )
+    def test_z_score_at_huge_shot_counts(self, capsys, target, shots):
+        # outcomes of probability ~1e-17 get drawn; the stderr they leave is far
+        # below the estimate's rounding, which must not read as a deviation
+        kind, param, seed = target
+        code, doc = run_json(
+            capsys,
+            "estimate", kind, param, "--state", "rho0", "--shots", str(shots), "--seed", seed,
+        )
+        assert code == 0
+        assert doc["outputs"]["estimate"]["stderr"] > 0
         assert abs(doc["outputs"]["z_score"]["value"]) <= 5
 
     def test_reproducible(self, capsys):
@@ -813,6 +846,37 @@ class TestThresholdCommand:
         code, doc = run_json(capsys, "threshold", *params)
         assert code == 0
         assert doc["outputs"]["detected"] is False
+
+
+@pytest.mark.parametrize(
+    "words,expected",
+    [
+        pytest.param(words, expected, id="-".join(words.split()[:2]))
+        for words, expected in [
+            ("witness bell2 extra", "bell2: parameter count 1, expected 0"),
+            ("witness qudit 3 extra", "qudit: parameter count 2, expected 1"),
+            ("witness ghz 3 extra", "ghz: parameter count 2, expected 1"),
+            ("witness threeq 0 0.125 extra", "threeq: parameter count 3, expected 2"),
+            ("witness upb tiles extra --seed 1", "upb: parameter count 2, expected 0 or 1"),
+            ("threshold twoqubit 1 1 0.1 extra",
+             "threshold twoqubit: parameter count 4, expected 3"),
+            ("threshold qudit 3 1,1,1 0.3 0 extra",
+             "threshold qudit: parameter count 5, expected 4"),
+            ("threshold frustum 1 0 9 5 5 0.028 extra",
+             "threshold frustum: parameter count 7, expected 6"),
+        ]
+    ],
+)
+def test_extra_parameter_is_bad_input(capsys, tmp_path, words, expected):
+    # each target and threshold kind takes a fixed number of parameters
+    argv = words.split()
+    if argv[0] == "witness":
+        argv += ["--out", str(tmp_path)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {expected}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputModes:

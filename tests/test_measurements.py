@@ -31,8 +31,6 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     ghz,
-    ghz_corner_mix,
-    ghz_dephased,
     max_entangled,
     pauli_parity_state,
 )
@@ -41,6 +39,7 @@ from witgeo.upb import estimate_epsilon, far_face_witness, tiles
 from witgeo.witness import evaluate
 
 import setting_reference
+from ghz_reference import corner_mix, dephased
 from random_states import random_density
 from spin_reference import column_projectors, projection_family, spin_matrix
 
@@ -214,21 +213,22 @@ class TestThreeQubit:
 
 class TestGhz:
     def test_two_party_coefficients(self):
-        g = ghz_decomposition(2)
+        g = ghz_witness(2)
         assert g.a == pytest.approx(2 / 3, abs=1e-10)
         assert g.b == pytest.approx(2 / 3, abs=1e-10)
         assert g.c == pytest.approx(4 / 3, abs=1e-10)
         assert np.abs(g.witness.matrix - W2Q).max() <= 1e-10
-        assert g.decomposition.residual(g.witness) <= 1e-10
+        assert ghz_settings(g).residual(g.witness) <= 1e-10
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_multiparty_witness(self, n):
-        g = ghz_decomposition(n)
+        g = ghz_witness(n)
+        dec = ghz_settings(g)
         assert min(g.a, g.b, g.c) > 0
         assert evaluate(g.witness, ghz(n)) < -1e-6
         assert evaluate(g.witness, completely_random((2,) * n)) >= 0
-        assert g.decomposition.residual(g.witness) <= 1e-10
-        assert len(g.decomposition.settings) == n + 1
+        assert dec.residual(g.witness) <= 1e-10
+        assert len(dec.settings) == n + 1
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_mixing_minimizes_distance(self, n):
@@ -237,7 +237,7 @@ class TestGhz:
         size = 2**n
         mixing = ghz_witness(n).mixing
         assert mixing == (size - 2) ** 2 / (size * size - 2 * size + 4)
-        rho0, delta, corner = ghz(n).mat, ghz_dephased(n).mat, ghz_corner_mix(n).mat
+        rho0, delta, corner = ghz(n).mat, dephased(n), corner_mix(n)
         diff = delta - corner
         vertex = np.vdot(diff, rho0 - corner).real / np.vdot(diff, diff).real
         assert mixing == pytest.approx(vertex, abs=1e-15)
@@ -255,14 +255,14 @@ class TestGhz:
         # the settings only through the reconstruction residual
         equatorial = ghz_settings(ghz_witness(n)).settings[1:]
         mean = sum(setting.weighted_sum() for _, setting in equatorial) / n
-        assert np.abs(mean - ghz_corner_mix(n).mat).max() <= 1e-12
+        assert np.abs(mean - corner_mix(n)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_x_forms_match_dense_forms(self, n):
         # tau0 and W are built from their X entries; the dense convex forms
         # are the reference, and must agree bit for bit
         g = ghz_witness(n)
-        tau0 = g.mixing * ghz_dephased(n).mat + (1 - g.mixing) * ghz_corner_mix(n).mat
+        tau0 = g.mixing * dephased(n) + (1 - g.mixing) * corner_mix(n)
         assert np.array_equal(g.witness.tau0.mat, tau0)
         dense = tau0 + g.witness.c0 * np.eye(2**n) - ghz(n).mat
         assert np.array_equal(g.witness.matrix, dense)

@@ -19,16 +19,14 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     ghz,
-    ghz_corner_mix,
     ghz_dephased,
-    ghz_segment_state,
-    ghz_segment_weight,
     max_entangled,
     three_qubit_family,
     three_qubit_separable_candidates,
 )
 from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
 
+from ghz_reference import segment_weight
 from segment_reference import segment_state
 
 TOL_PSD = 1e-9
@@ -106,11 +104,11 @@ CASES = {
                   for s0 in (1e-6, 1 / (d + 1), 1 - 1e-9)],
     "ghz": [(n, lambda n: (ghz(n), _ghz_terms(n))) for n in GHZ_PARTIES],
     "ghz_dephased": [(n, lambda n: (ghz_dephased(n), _dephased_terms(n))) for n in GHZ_PARTIES],
-    "ghz_corner_mix": [(n, lambda n: (ghz_corner_mix(n), _corner_terms(n))) for n in GHZ_PARTIES],
     "ghz_tau0": [(n, _ghz_tau0) for n in GHZ_PARTIES],
+    # the paper's GHZ segment point tau~0, built by the tests' reference route
     "ghz_segment_state": [
-        (n, lambda n: (ghz_segment_state(n),
-                       _segment_terms(ghz_segment_weight(n), 2**n, _ghz_terms(n))))
+        (n, lambda n: (segment_state(ghz(n), segment_weight(n)),
+                       _segment_terms(segment_weight(n), 2**n, _ghz_terms(n))))
         for n in GHZ_PARTIES
     ],
     # N = 8 and N = 9 below: the spectrum decides, no convex form is needed

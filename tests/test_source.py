@@ -130,9 +130,10 @@ def test_no_literal_basis_tables():
     assert not found, f"module-level array literals in spin.py or measurements.py: {found}"
 
 
-# Public names that nothing calls yet: the GHZ segment state tau~0, which
-# ROADMAP item 7 wires into the witness report.
-AWAITING_CALLERS = {"ghz_segment_state"}
+# Public names that only the benchmark's probe calls (perfbench/probe.py), not
+# the CLI or another package module.  ROADMAP item 3 repoints the probe at the
+# program's own routes and empties this set.
+PINNED_BY_BENCHMARK = {"ghz_decomposition", "ghz_dephased", "load_witness_matrix"}
 
 
 def _public(nodes):
@@ -143,12 +144,25 @@ def _public(nodes):
     ]
 
 
+def _referenced(path) -> set:
+    """Every name, attribute and imported name in the module at path."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
 def test_every_public_name_has_a_caller():
     # a public function, class, method or property of the package must be
     # referenced (as a name, an attribute or an import) by another package
-    # module or by the benchmark; names that only the tests call belong in tests/
+    # module, or be pinned by the benchmark; names that only the tests call
+    # belong in tests/
     modules = [path for path in SOURCES if path.name != "__init__.py"]
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     defined = {}
     for path in modules:
         for node in _public(ast.parse(path.read_text()).body):
@@ -156,22 +170,17 @@ def test_every_public_name_has_a_caller():
             if isinstance(node, ast.ClassDef):
                 for member in _public(node.body):
                     defined[member.name] = f"{path.stem}.{node.name}"
-    referenced = set()
-    for path in [*modules, *sorted(perfbench.glob("*.py"))]:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
+    referenced = set().union(*map(_referenced, modules))
     assert defined
     unused = sorted(
         f"{module}.{name}"
         for name, module in defined.items()
-        if name not in referenced and name not in AWAITING_CALLERS
+        if name not in referenced and name not in PINNED_BY_BENCHMARK
     )
-    assert not unused, f"public names without a caller outside the tests: {unused}"
+    assert not unused, f"public names without a caller in the package: {unused}"
+    probe = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+    stale = sorted((PINNED_BY_BENCHMARK - _referenced(probe)) | (PINNED_BY_BENCHMARK & referenced))
+    assert not stale, f"pinned names the probe no longer calls or the package calls: {stale}"
 
 
 # Where input enters: the CLI parses argv, io reads files.

@@ -10,10 +10,7 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     ghz,
-    ghz_corner_mix,
     ghz_dephased,
-    ghz_segment_state,
-    ghz_segment_weight,
     max_entangled,
     pauli_parity_state,
     schmidt_state,
@@ -21,7 +18,9 @@ from witgeo.states import (
     three_qubit_separable_candidates,
 )
 
+from ghz_reference import corner_mix, dephased, segment_weight
 from paper_states import noise_ball
+from segment_reference import segment_state
 
 
 class TestMaxEntangled:
@@ -124,35 +123,38 @@ class TestGhzFamily:
         m = ghz(4).mat
         assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_corner_mix_entries(self):
-        q = ghz_corner_mix(2).mat
-        assert np.allclose(np.diag(q).real, 0.25)
-        assert q[0, 3] == pytest.approx(0.25)
-        assert q[1, 2] == pytest.approx(0.0)
-        d = ghz_dephased(2).mat
-        assert np.allclose(np.diag(d).real, [0.5, 0, 0, 0.5])
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_dephased_matches_dense_form(self, n):
+        assert np.array_equal(ghz_dephased(n).mat, dephased(n))
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
     def test_corner_mix_is_psd_with_zero_floor(self, n):
-        w = np.linalg.eigvalsh(ghz_corner_mix(n).mat)
+        w = np.linalg.eigvalsh(corner_mix(n))
         assert w.min() == pytest.approx(0.0, abs=1e-12)
-        assert np.trace(ghz_corner_mix(n).mat).real == pytest.approx(1.0)
+        assert np.trace(corner_mix(n)).real == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
     def test_segment_state_consistency(self, n):
-        # constructor itself cross-checks the two forms
-        st = ghz_segment_state(n)
-        s0 = ghz_segment_weight(n)
-        want = (1 - s0) * completely_random((2,) * n).mat + s0 * ghz(n).mat
-        assert np.abs(st.mat - want).max() <= 1e-12
+        s0 = segment_weight(n)
+        via_segment = segment_state(ghz(n), s0).mat
+        via_parts = s0 * dephased(n) + (1 - s0) * corner_mix(n)
+        assert np.abs(via_segment - via_parts).max() <= 1e-12
 
-    def test_segment_weights(self):
-        assert ghz_segment_weight(2) == pytest.approx(1 / 3)
-        assert ghz_segment_weight(3) == pytest.approx(1 / 5)
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_segment_weight_is_the_ppt_edge(self, n):
+        # s0 is the last point of the segment from I/N to the GHZ state whose
+        # partial transpose stays positive semidefinite
+        def floor(s):
+            pt = partial_transpose(segment_state(ghz(n), s).mat, [0], (2,) * n)
+            return np.linalg.eigvalsh(pt).min()
+
+        s0 = segment_weight(n)
+        assert floor(s0) == pytest.approx(0.0, abs=1e-12)
+        assert floor(s0 * (1 + 1e-6)) < -1e-9
 
     def test_two_party_segment_matches_closest_separable(self):
         tau = closest_separable(max_entangled(2))
-        assert np.abs(ghz_segment_state(2).mat - tau.mat).max() <= 1e-15
+        assert np.abs(segment_state(ghz(2), segment_weight(2)).mat - tau.mat).max() <= 1e-15
 
 
 def _pauli_eigvec(pauli, sign):
