@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as wio
-from .linalg import MAX_SIZE, BadInput
+from .linalg import BadInput, check_size
 from .measurements import (
     WitnessDecomposition,
     far_face_decomposition,
@@ -37,7 +37,7 @@ from .measurements import (
 from .oracle import MAX_RESTARTS, SeeSawConfig, min_over_products, ppt_report
 from .spin import is_prime
 from .states import completely_random
-from .upb import estimate_epsilon, far_face_witness, tiles
+from .upb import estimate_epsilon, far_face_witness, tiles, uniform_mixture
 from .witness import (
     DETECTION_TOL,
     Witness,
@@ -54,12 +54,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _check_size(size: int, form: str) -> None:
-    """Reject N = size, written as form; before slower checks such as the primality test."""
-    if size > MAX_SIZE:
-        raise BadInput(f"target too large for dense matrices: N = {form} > {MAX_SIZE}")
-
-
 class Target(NamedTuple):
     name: str
     witness: Witness
@@ -73,48 +67,50 @@ def _build_target(args) -> Target:
     if kind == "bell2":
         return Target("bell2", standard_witness(2), lambda: qudit_decomposition(2), {})
     if kind == "qudit":
-        d = _int_param(args.params, 0, "d")
-        _check_size(d * d, f"{d}^2")
+        d = _int_param(args.params[0], "d")
+        check_size(d * d, f"{d}^2")  # before the primality test
         if not is_prime(d):
             raise BadInput(f"qudit dimension must be prime, got {d}")
         return Target(f"qudit{d}", standard_witness(d), lambda: qudit_decomposition(d), {})
     if kind == "ghz":
-        n = _int_param(args.params, 0, "n")
-        _check_size(2 ** min(n, 13), f"2^{n}")  # capped: 2^n of a huge n is itself huge
+        n = _int_param(args.params[0], "n")
+        check_size(2 ** min(n, 13), f"2^{n}")  # capped: 2^n of a huge n is itself huge
         g = ghz_witness(n)
         extras = {"a": g.a, "b": g.b, "c": g.c, "mixing": g.mixing}
         return Target(f"ghz{n}", g.witness, lambda: ghz_settings(g), extras)
     if kind == "threeq":
-        m = _float_param(args.params, 0, "m")
-        t = _float_param(args.params, 1, "t")
+        m = _float_param(args.params[0], "m")
+        t = _float_param(args.params[1], "t")
         w = three_qubit_witness(m, t)
         return Target(f"threeq_m{m}_t{t}", w, lambda: three_qubit_decomposition(t), {})
     # upb, the last target the parser admits
     source = args.params[0] if args.params else "tiles"
     upb = tiles() if source == "tiles" else wio.load_upb(source)
-    eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=args.restarts, seed=args.seed))
+    mu0 = uniform_mixture(upb)  # the see-saw, rho0 and the witness share it
+    cfg = SeeSawConfig(restarts=args.restarts, seed=args.seed)
+    eps, seesaw = estimate_epsilon(upb, mu0, cfg)
     extras = {
         "epsilon": eps,
         "consensus": f"{seesaw.consensus}/{seesaw.restarts}",
         "m": upb.m,
         "N": upb.n,
     }
-    w = far_face_witness(upb, eps)
+    w = far_face_witness(upb, mu0, eps)
     return Target("upb", w, lambda: far_face_decomposition(upb, eps), extras)
 
 
-def _int_param(params, idx, name) -> int:
+def _int_param(text, name) -> int:
     """An integer from command-line text; the builders check its range."""
     try:
-        return int(params[idx])
+        return int(text)
     except ValueError:
         raise BadInput(f"invalid integer parameter {name!r}") from None
 
 
-def _float_param(params, idx, name) -> float:
+def _float_param(text, name) -> float:
     """A finite float from command-line text."""
     try:
-        value = float(params[idx])
+        value = float(text)
     except ValueError:
         raise BadInput(f"invalid parameter {name!r}") from None
     if not math.isfinite(value):
@@ -277,33 +273,32 @@ def _parse_amps(text: str) -> np.ndarray:
     """Amplitudes from a file holding a flat JSON list of numbers, or a comma list."""
     if Path(text).exists():
         return wio.load_amplitudes(text)
-    amps = text.split(",")
-    return np.array([_float_param(amps, i, "amplitudes") for i in range(len(amps))])
+    return np.array([_float_param(a, "amplitudes") for a in text.split(",")])
 
 
 def cmd_threshold(args) -> tuple:
     kind = args.kind
     if kind == "twoqubit":
-        a = _float_param(args.params, 0, "a")
-        b = _float_param(args.params, 1, "b")
-        delta = _float_param(args.params, 2, "delta")
+        a = _float_param(args.params[0], "a")
+        b = _float_param(args.params[1], "b")
+        delta = _float_param(args.params[2], "delta")
         norm = np.hypot(a, b)  # accept rounded inputs; rescale to the unit circle
         if norm == 0:
             raise BadInput("a and b cannot both be zero")
         value = two_qubit_noise_threshold(a / norm, b / norm, delta)
         outputs = {"threshold": _scalar(value, tol=1e-15)}
     elif kind == "qudit":
-        d = _int_param(args.params, 0, "d")
+        d = _int_param(args.params[0], "d")
         amps = _parse_amps(args.params[1])
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise BadInput("amplitudes cannot all be zero")
-        p = _float_param(args.params, 2, "p")
-        delta = _float_param(args.params, 3, "delta")
+        p = _float_param(args.params[2], "p")
+        delta = _float_param(args.params[3], "delta")
         value = qudit_detection_predicate(d, amps / norm, p, delta)
         outputs = {"detected": bool(value)}
     else:  # frustum, the last kind the parser admits
-        p, delta, n, m, b, eps = (_float_param(args.params, i, "frustum args") for i in range(6))
+        p, delta, n, m, b, eps = (_float_param(x, "frustum args") for x in args.params)
         if not (n.is_integer() and m.is_integer()):
             raise BadInput(f"frustum N and m must be integers, got {n} and {m}")
         value = frustum_predicate(p, delta, int(n), int(m), b, eps)

@@ -10,9 +10,10 @@ written by round-trip repr, so readers recover the exact matrix.  The
 witness document is a matrix document plus a {"c0", "s0"} metadata block;
 the decomposition document lists the identity coefficient and, per
 setting, the party bases (each a dense d x d unitary, stored as
-{"dims": [d], "entries": [[re, im], ...]} over all d*d entries) and the
-dense weight table; the UPB document stores per-party complex factor
-lists and, like a flat amplitudes list, is only read.
+{"dims": [d], "entries": [[re, im], ...]} over all d*d entries and
+checked unitary when read) and the dense weight table; the UPB document
+stores per-party complex factor lists and, like a flat amplitudes list,
+is only read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .linalg import MAX_SIZE, BadInput, is_hermitian
 from .measurements import MeasurementSetting, WitnessDecomposition
 from .upb import UpbSet
 from .witness import Witness
+
+# A stored party basis may deviate from unitarity by this much, entrywise in U^dagger U.
+_BASIS_TOL = 1e-10
 
 
 def _entries(mat: np.ndarray) -> np.ndarray:
@@ -76,9 +80,12 @@ def _save(path, doc: dict) -> None:
 
 @contextmanager
 def _document(path):
-    """The JSON document at path; bad text raises BadInput naming the file, as OSError does."""
+    """The JSON document at path; bad text raises BadInput naming the file, as OSError does,
+    and a BadInput raised on a well-formed document (a target too large) keeps its words."""
     try:
         yield json.loads(Path(path).read_text())
+    except BadInput as exc:
+        raise BadInput(f"{path}: {exc}") from None
     except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise BadInput(f"invalid document {path}: {type(exc).__name__}: {exc}") from None
 
@@ -113,12 +120,16 @@ def matrix_from_doc(doc: dict) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _basis_from_doc(doc: dict) -> np.ndarray:
-    """A party basis from its dense document, all d*d entries row-major."""
+    """A party basis from its dense document, all d*d entries row-major, checked unitary."""
     n = math.prod(_dims(doc["dims"]))
     flat = _complex(doc["entries"])
     if len(flat) != n * n:
         raise ValueError(f"expected {n*n} entries, got {len(flat)}")
-    return flat.reshape(n, n)
+    u = flat.reshape(n, n)
+    dev = np.abs(u.conj().T @ u - np.eye(n)).max()
+    if dev > _BASIS_TOL:
+        raise ValueError(f"party basis not orthonormal: deviation {dev:.3e}")
+    return u
 
 
 def save_matrix(path, mat: np.ndarray, dims) -> None:

@@ -31,6 +31,12 @@ class BadInput(ValueError):
     """A user value or file fails a check where it enters; the CLI exits 2 on it."""
 
 
+def check_size(size: int, form: str) -> None:
+    """Reject a target of dimension N = size, written as form, before any matrix or spectrum."""
+    if size > MAX_SIZE:
+        raise BadInput(f"target too large for dense matrices: N = {form} > {MAX_SIZE}")
+
+
 @dataclass(frozen=True)
 class DensityState:
     """A density operator on the tensor-product space of local dimensions ``dims``.

@@ -37,15 +37,14 @@ from .states import (
     closest_separable,
     ghz,
     max_entangled,
-    three_qubit_separable_candidates,
+    three_qubit_family,
+    three_qubit_nearest,
     x_matrix,
 )
 from .witness import Witness, nearest_witness
 
 if TYPE_CHECKING:
     from .upb import UpbSet
-
-_BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,30 +54,18 @@ class MeasurementSetting:
     ``party_bases`` holds one (d, d) array per party whose *columns* are
     the measurement eigenvectors; column unitarity is exactly per-party
     completeness plus orthogonality of the outcome projectors.
-    ``weights`` is real with shape equal to the local dimensions.
+    ``weights`` is real with shape equal to the local dimensions.  Both are
+    kept as given: the builders' bases are unitary by their closed forms
+    (proven in the tests), and ``io`` checks the bases it reads, so
+    construction checks only the table shape.
     """
 
     party_bases: tuple[np.ndarray, ...]
     weights: np.ndarray
 
     def __post_init__(self):
-        bases = tuple(np.array(u, dtype=complex) for u in self.party_bases)
-        w = np.array(self.weights, dtype=float)
-        if not all(np.isfinite(a).all() for a in (*bases, w)):
-            raise ValueError("party bases and outcome weights must be finite")
-        for u in bases:
-            d = u.shape[0]
-            if u.shape != (d, d):
-                raise ValueError("party basis must be square")
-            dev = np.abs(u.conj().T @ u - np.eye(d)).max()
-            if dev > _BASIS_TOL:
-                raise ValueError(f"party basis not orthonormal: deviation {dev:.3e}")
-            u.setflags(write=False)
-        object.__setattr__(self, "party_bases", bases)
-        if w.shape != self.dims:
-            raise ValueError(f"weight table shape {w.shape} != local dims {self.dims}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if self.weights.shape != self.dims:
+            raise ValueError(f"weight table shape {self.weights.shape} != local dims {self.dims}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -379,7 +366,10 @@ def three_qubit_witness(m: float, t: float) -> Witness:
     with c0 = t/4.  It is not positive on product states, so it is not a
     witness: W = (t/4)[I - (XXX + XYY - YXY - YYX)] has product-state
     floor (t/4)(1 - sqrt(2)), reached at Bloch angles theta_k = pi/4,
-    phi = (pi/4, -pi/4, -pi/4).
+    phi = (pi/4, -pi/4, -pi/4).  For t < 0 apply the family's mirror
+    symmetry first.
     """
-    cands = three_qubit_separable_candidates(m, t)
-    return nearest_witness(cands.rho, cands.nearest)
+    if t <= 0:
+        raise BadInput("t must be positive; use the mirrored parameters for t < 0")
+    rho = three_qubit_family(m, t)  # checks the region, which implies nearest's |m| + t/2 <= 1/8
+    return nearest_witness(rho, three_qubit_nearest(m, t))

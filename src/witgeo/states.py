@@ -2,11 +2,11 @@
 
 """Constructors for the concrete states used throughout the toolkit.
 
-Bipartite side: maximally entangled qudit states, Schmidt-diagonal pure
-states and the closest separable state of the maximally entangled one.
-Multipartite side: the n-qubit GHZ family, built from its X shape
-(x_matrix) with its dephased separable companion, and the two-parameter
-three-qubit bound entangled family rho(m, t) with its separable candidates.
+Bipartite side: maximally entangled qudit states and the closest
+separable state of the maximally entangled one.  Multipartite side: the
+n-qubit GHZ family, built from its X shape (x_matrix) with its dephased
+separable companion, and the two-parameter three-qubit bound entangled
+family rho(m, t) with its published nearest separable state.
 
 Every constructor but x_matrix and pauli_parity_state (bare matrices) returns
 a DensityState, a convex combination of positive semidefinite matrices by its
@@ -17,7 +17,6 @@ checked against it on construction.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,23 +33,11 @@ def completely_random(dims) -> DensityState:
     return DensityState(np.eye(n, dtype=complex) / n, dims)
 
 
-def schmidt_state(amps) -> DensityState:
-    """Pure bipartite state sum_k a_k |kk> with real Schmidt coefficients."""
-    a = np.asarray(amps, dtype=float)
-    d = len(a)
-    if d < 2:
-        raise ValueError("need at least two Schmidt coefficients")
-    if abs(np.dot(a, a) - 1.0) > 1e-10:
-        raise ValueError(f"coefficients are not normalized: sum of squares {np.dot(a, a)}")
-    psi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        psi[k * d + k] = a[k]
-    return DensityState(np.outer(psi, psi.conj()), (d, d))
-
-
 def max_entangled(d: int) -> DensityState:
     """Maximally entangled state sum_k |kk>/sqrt(d) on a d x d system."""
-    return schmidt_state(np.full(d, 1.0 / np.sqrt(d)))
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = 1 / np.sqrt(d)  # |kk> sits at index k*d + k
+    return DensityState(np.outer(psi, psi.conj()), (d, d))
 
 
 def closest_separable(rho0: DensityState) -> DensityState:
@@ -149,34 +136,19 @@ def three_qubit_family(m: float, t: float) -> DensityState:
     return DensityState(mat, (2, 2, 2))
 
 
-class SeparableCandidates(NamedTuple):
-    rho: DensityState       # the family member at (m, t) itself
-    nearest: DensityState   # published nearest state: separable, not the closest
-    segment: DensityState   # last separable state on the segment from I/N
+def three_qubit_nearest(m: float, t: float) -> DensityState:
+    """The published nearest separable state to rho(m, t), for t > 0 in the family's region.
 
-
-def three_qubit_separable_candidates(m: float, t: float) -> SeparableCandidates:
-    """The three-qubit family member rho(m, t), t > 0, with its separable companions.
-
-    ``nearest`` has anti-diagonal (m - t/2, m + t/2, 1/8 - t/2, 1/8 - t/2)
-    and diagonal 1/8.  It is separable, a mixture of the Pauli-parity
-    states P+(111), P-(212), P+(122), P-(221) with weights 1/2+4m-2t, 2t,
-    2t, 1/2-4m-2t, but provably not the closest separable state: the
-    product pi* minimizing Tr(W pi) for the witness built through it has
+    Diagonal 1/8, anti-diagonal (m - t/2, m + t/2, 1/8 - t/2, 1/8 - t/2).
+    It is separable, a mixture of the Pauli-parity states P+(111), P-(212),
+    P+(122), P-(221) with weights 1/2+4m-2t, 2t, 2t, 1/2-4m-2t, which are
+    nonnegative where |m| + t/2 <= 1/8; the family's region implies that.
+    It is provably not the closest separable state: the product pi*
+    minimizing Tr(W pi) for the witness built through it has
     Tr[(rho - nearest)(pi* - nearest)] = -Tr(W pi*) > 0, so mixing a
-    little pi* into ``nearest`` moves it closer to rho.
-
-    ``segment`` solves rho(m,t) = (1+8t)*segment - 8t*I/8, which places
-    it on the segment from I/N to rho(m,t).  For t < 0 apply
-    the family's mirror symmetry first.
+    little pi* into it moves it closer to rho.
     """
-    if t <= 0:
-        raise BadInput("t must be positive; use the mirrored parameters for t < 0")
-    rho = three_qubit_family(m, t)  # checks the region, which implies nearest's |m| + t/2 <= 1/8
-    nearest = DensityState(
+    return DensityState(
         _anti_diagonal_density((m - t / 2, m + t / 2, 0.125 - t / 2, 0.125 - t / 2)),
         (2, 2, 2),
     )
-    d0 = np.eye(8, dtype=complex) / 8
-    segment = DensityState((rho.mat + 8 * t * d0) / (1 + 8 * t), (2, 2, 2))
-    return SeparableCandidates(rho, nearest, segment)

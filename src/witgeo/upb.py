@@ -23,18 +23,19 @@ checks that coincidence once, on construction.  Like every Witness it
 needs Tr(W rho0) = -eps^2 N/(m(N-m)) < -DETECTION_TOL, so a tiny eps is bad input.
 estimate_epsilon runs the see-saw under the caller's SeeSawConfig and
 returns eps together with the see-saw's own MinProductsResult (value
-eps/m, argmin, consensus and every restart's value).
+eps/m, argmin, consensus and every restart's value).  The three take
+mu0 = uniform_mixture(upb), which a command builds once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .linalg import MAX_SIZE, BadInput, DensityState, tensor
+from .linalg import BadInput, DensityState, check_size, tensor
 from .oracle import MinProductsResult, SeeSawConfig, min_over_products
 from .witness import Witness, nearest_witness
 
@@ -51,10 +52,10 @@ class UpbSet:
         dims = tuple(int(d) for d in self.dims)
         if not dims or min(dims) < 2:
             raise ValueError(f"local dimensions must all be >= 2, got {dims}")
-        if math.prod(dims) > MAX_SIZE:  # before any Gram matrix, which grows as m^2
-            form = "x".join(map(str, dims))
-            raise ValueError(f"target too large for dense matrices: N = {form} > {MAX_SIZE}")
+        check_size(math.prod(dims), "x".join(map(str, dims)))  # before the m x m Gram matrix
         object.__setattr__(self, "dims", dims)
+        if not self.vectors:
+            raise ValueError("the family has no vectors")
         stored = []
         for factors in self.vectors:
             if len(factors) != len(dims):
@@ -124,19 +125,20 @@ def uniform_mixture(upb: UpbSet) -> DensityState:
     return DensityState(mat, upb.dims)
 
 
-def bound_entangled(upb: UpbSet) -> DensityState:
+def bound_entangled(upb: UpbSet, mu0: DensityState) -> DensityState:
     """Normalized projector complement (N*I/N - m*mu0)/(N-m); PPT by construction."""
     n = upb.n
     m = upb.m
-    mu = uniform_mixture(upb)
-    mat = (np.eye(n) - m * mu.mat) / (n - m)
+    mat = (np.eye(n) - m * mu0.mat) / (n - m)
     low = np.linalg.eigvalsh(mat).min()
     if low < -1e-10:
         raise BadInput(f"complement state not PSD (min eig {low:.3e}); invalid UPB input")
     return DensityState(mat, upb.dims)
 
 
-def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProductsResult]:
+def estimate_epsilon(
+    upb: UpbSet, mu0: DensityState, cfg: SeeSawConfig
+) -> tuple[float, MinProductsResult]:
     """Estimate eps = m * inf Tr(mu0 sigma) over product states by see-saw.
 
     Returns eps with the see-saw's own result, whose value is eps/m.  eps
@@ -145,7 +147,7 @@ def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProducts
     unextendibility and is rejected; so is a value outside the bracket
     (0, m/N) required for the far-face witness.
     """
-    res = min_over_products(uniform_mixture(upb).mat, upb.dims, cfg)
+    res = min_over_products(mu0.mat, upb.dims, cfg)
     if res.value <= 1e-12:
         raise BadInput(
             "minimum product overlap is numerically zero; the family is extendible "
@@ -157,7 +159,7 @@ def estimate_epsilon(upb: UpbSet, cfg: SeeSawConfig) -> tuple[float, MinProducts
     return eps, res
 
 
-def far_face_witness(upb: UpbSet, eps: float) -> Witness:
+def far_face_witness(upb: UpbSet, mu0: DensityState, eps: float) -> Witness:
     """Witness eps*N/(N-m) * (mu0 - eps/m * I) for the UPB's bound entangled state.
 
     nearest_witness gives c0 and tau0 + c0 I - rho0 at the segment point
@@ -169,9 +171,8 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     m = upb.m
     if not 0.0 < eps < m / n:
         raise ValueError(f"eps = {eps} outside (0, m/N = {m/n})")
-    mu = uniform_mixture(upb)
-    rho0 = bound_entangled(upb)
-    closed = eps * n / (n - m) * (mu.mat - eps / m * np.eye(n))
+    rho0 = bound_entangled(upb, mu0)
+    closed = eps * n / (n - m) * (mu0.mat - eps / m * np.eye(n))
 
     s0 = 1.0 - eps * n / m
     tau0 = DensityState((1 - s0) * np.eye(n) / n + s0 * rho0.mat, upb.dims)
@@ -179,4 +180,4 @@ def far_face_witness(upb: UpbSet, eps: float) -> Witness:
     dev = np.abs(closed - hp.matrix).max()
     if dev > 1e-10:
         raise AssertionError(f"far-face witness deviates from tau0 + c0 I - rho0 by {dev:.3e}")
-    return replace(hp, matrix=closed, s0=s0)
+    return Witness(closed, hp.c0, rho0, tau0, s0)

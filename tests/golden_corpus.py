@@ -6,7 +6,8 @@ without ``wall_time_s`` and the sha256 of every file its report names.
 text alike.  The commands are the benchmark's three workloads at
 workload seed 1 (prepare commands included, each distinct argv once, in
 order of first appearance), ``qudit 2``, and the Shifts and Pyramid UPB
-files of ``upb_ladder`` through all four commands.  They run in one
+files of ``upb_ladder`` through all four commands, ``estimate`` also on the
+decomposition that ``decompose`` wrote.  They run in one
 process, in order: an ``estimate --decomposition`` reads the file an
 earlier ``decompose`` wrote.
 
@@ -42,6 +43,8 @@ def _upb(name: str) -> list[list[str]]:
         ["decompose", "upb", *common, "--out", "OUT"],
         ["verify", "upb", *common],
         ["estimate", "upb", *common],
+        # the completed bases of the file's factors, read back through the reader's checks
+        ["estimate", "upb", *common, "--decomposition", "OUT/upb_decomposition.json"],
     ]
 
 

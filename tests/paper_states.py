@@ -1,11 +1,14 @@
 """States that only the paper-claim tests draw.
 
+* schmidt_state: the Schmidt-diagonal pure targets sum_k a_k |kk> of the
+  noisy-threshold guarantees; the program builds only the uniform one,
+  ``states.max_entangled``;
 * noise_ball: seeded noise near I/N, the sigma of the noisy-threshold
   guarantees (criterion 5);
 * reweighted_bound_entangled: the reweighted far-face states of the
   frustum test.
 
-The program builds neither; they are the tests' routes to the claims
+The program builds none of them; they are the tests' routes to the claims
 that ``witness.two_qubit_noise_threshold``, ``qudit_detection_predicate``
 and ``frustum_predicate`` state in closed form.
 """
@@ -17,6 +20,19 @@ import numpy as np
 from witgeo.linalg import DensityState
 
 from upb_reference import member_projector
+
+
+def schmidt_state(amps) -> DensityState:
+    """Pure bipartite state sum_k a_k |kk> with real Schmidt coefficients."""
+    a = np.asarray(amps, dtype=float)
+    d = len(a)
+    if d < 2:
+        raise ValueError("need at least two Schmidt coefficients")
+    if abs(np.dot(a, a) - 1.0) > 1e-10:
+        raise ValueError(f"coefficients are not normalized: sum of squares {np.dot(a, a)}")
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = a
+    return DensityState(np.outer(psi, psi.conj()), (d, d))
 
 
 def noise_ball(dims, delta: float, seed: int) -> DensityState:

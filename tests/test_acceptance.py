@@ -27,9 +27,8 @@ from witgeo.states import (
     completely_random,
     ghz,
     max_entangled,
-    schmidt_state,
     three_qubit_family,
-    three_qubit_separable_candidates,
+    three_qubit_nearest,
 )
 from witgeo.upb import bound_entangled, estimate_epsilon, far_face_witness, tiles, uniform_mixture
 from witgeo.witness import (
@@ -40,7 +39,7 @@ from witgeo.witness import (
 )
 
 from ghz_reference import corner_mix, dephased, segment_weight
-from paper_states import noise_ball
+from paper_states import noise_ball, schmidt_state
 from product_bound import bell_bound_three_qubit, product_bound_objective, product_from_angles
 from product_projection import product_matrix
 from random_states import random_density
@@ -284,7 +283,7 @@ def test_criterion_06_three_qubit_family():
     # Tr[(rho - tau)(pi* - tau)] = -Tr(W pi*) > 0, so mixing the attaining
     # product into the claimed nearest state moves it closer to rho.
     rho = three_qubit_family(0.0, t).mat
-    tau = three_qubit_separable_candidates(0.0, t).nearest.mat
+    tau = three_qubit_nearest(0.0, t).mat
     pi_star = product_matrix(res.argmin)
     eps = hs_inner(rho - tau, pi_star - tau).real / np.linalg.norm(pi_star - tau) ** 2
     before = np.linalg.norm(rho - tau)
@@ -342,7 +341,8 @@ def test_criterion_08_far_face():
     dev = np.abs(upb.gram() - np.eye(5)).max()
     crit.check("gram identity", dev <= 1e-12, f"max deviation {dev:.3e}")
 
-    rho0 = bound_entangled(upb)
+    mu0 = uniform_mixture(upb)
+    rho0 = bound_entangled(upb, mu0)
     eigs = np.linalg.eigvalsh(rho0.mat)
     crit.check(
         "complement spectrum",
@@ -353,23 +353,22 @@ def test_criterion_08_far_face():
         np.linalg.eigvalsh(partial_transpose(rho0.mat, [p], rho0.dims)).min() for p in (0, 1)
     )
     crit.check("ppt both cuts", worst_pt >= -1e-10, f"min {worst_pt:.3e}")
-    mu0 = uniform_mixture(upb)
     overlap = abs(hs_inner(mu0.mat, rho0.mat))
     crit.check("orthogonality to mixture", overlap <= 1e-10, f"overlap {overlap:.3e}")
 
-    eps, seesaw = estimate_epsilon(upb, SeeSawConfig(restarts=64, seed=808))
+    eps, seesaw = estimate_epsilon(upb, mu0, SeeSawConfig(restarts=64, seed=808))
     crit.check(
         "positive overlap floor",
         eps > 1e-3 and seesaw.consensus >= 8,
         f"eps {eps:.6f}, consensus {seesaw.consensus}/64",
     )
     drift = max(
-        abs(estimate_epsilon(upb, SeeSawConfig(restarts=64, seed=s))[0] - eps)
+        abs(estimate_epsilon(upb, mu0, SeeSawConfig(restarts=64, seed=s))[0] - eps)
         for s in (809, 810)
     )
     crit.check("seed stability", drift <= 1e-8, f"drift {drift:.3e}")
 
-    w = far_face_witness(upb, eps)
+    w = far_face_witness(upb, mu0, eps)
     val = evaluate(w, rho0)
     want = -eps * eps * n / (m * (n - m))
     crit.check("detection value", abs(val - want) <= 1e-9, f"{val} vs {want}")
@@ -428,8 +427,9 @@ def test_criterion_10_global_identity():
     for n in range(2, 7):
         pairs.append((f"ghz{n}", ghz_decomposition(n).witness))
     upb = tiles()
-    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=32, seed=1010))
-    pairs.append(("upb-tiles", far_face_witness(upb, eps)))
+    mu0 = uniform_mixture(upb)
+    eps, _ = estimate_epsilon(upb, mu0, SeeSawConfig(restarts=32, seed=1010))
+    pairs.append(("upb-tiles", far_face_witness(upb, mu0, eps)))
 
     rng = np.random.default_rng(1011)
     for name, w in pairs:

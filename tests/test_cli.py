@@ -23,7 +23,7 @@ from witgeo.cli import main
 from witgeo.linalg import DensityState
 from witgeo.measurements import ghz_settings, ghz_witness
 from witgeo.oracle import MAX_RESTARTS, SeeSawConfig
-from witgeo.upb import UpbSet, estimate_epsilon
+from witgeo.upb import UpbSet, estimate_epsilon, uniform_mixture
 from witgeo.upb import tiles as upb_tiles
 from witgeo.witness import Witness
 
@@ -122,10 +122,14 @@ class TestWitnessCommand:
     def test_threeq_region_names_m_and_t(self, capsys, tmp_path):
         # |m| + t/2 <= 1/8 holds here, |m| + |t| <= 1/8 does not
         code = main(["witness", "threeq", "0.1", "0.05", "--out", str(tmp_path)])
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert "(m=0.1, t=0.05) leaves the family's region |m| + |t| <= 1/8" in err
+        err = "error: (m=0.1, t=0.05) leaves the family's region |m| + |t| <= 1/8\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
+    def test_threeq_sign_reported_before_region(self, capsys, tmp_path):
+        # t = -0.1 also leaves the region, but the sign is what the user must change
+        code = main(["witness", "threeq", "0.1", "-0.1", "--out", str(tmp_path)])
+        err = "error: t must be positive; use the mirrored parameters for t < 0\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
 
     @pytest.mark.parametrize("m,t", [("0", "0.125"), ("0.0625", "0.0625")])
     def test_threeq_region_boundary(self, capsys, tmp_path, m, t):
@@ -161,9 +165,17 @@ class TestWitnessCommand:
         vectors = [[pairs(e[k]), pairs(e[k])] for k in range(3)]
         path.write_text(json.dumps({"shape": [67, 67], "vectors": vectors}))
         code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert "N = 67x67 > 4096" in err
+        # well formed and only too large: no invalid document
+        err = f"error: {path}: target too large for dense matrices: N = 67x67 > 4096\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
+    def test_empty_upb_file_is_named(self, capsys, tmp_path):
+        # named before the Gram matrix, which has no factors to multiply
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps({"shape": [3, 3], "vectors": []}))
+        code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
+        err = f"error: invalid document {path}: ValueError: the family has no vectors\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
 
 
 class TestUpbLadder:
@@ -305,7 +317,9 @@ class TestVerifyCommand:
         # one restart on seed 3 sets eps = 0.06699, far above the true 0.028416;
         # a see-saw on the stream that set eps would find its own minimum again
         # and pass a witness that is negative on a product state
-        assert estimate_epsilon(upb_tiles(), SeeSawConfig(restarts=1, seed=3))[0] > 0.05
+        upb = upb_tiles()
+        cfg = SeeSawConfig(restarts=1, seed=3)
+        assert estimate_epsilon(upb, uniform_mixture(upb), cfg)[0] > 0.05
         code, doc = run_json(
             capsys,
             "verify", "upb", "tiles",
@@ -526,6 +540,26 @@ class TestEstimateCommand:
     def test_non_finite_decomposition_is_bad_input(self, capsys, tmp_path, mutate):
         self.assert_bad_input(capsys, tmp_path, mutate)
 
+    @pytest.mark.parametrize(
+        "scale,message",
+        [
+            (1.01, "party basis not orthonormal: deviation 2.010e-02"),
+            (np.nan, "expected finite numbers, found NaN or infinity"),
+        ],
+        ids=["scaled_entry", "non_finite_entry"],
+    )
+    def test_stored_basis_is_checked_by_the_reader(self, capsys, tmp_path, scale, message):
+        # the program's own bases are unitary by their closed forms
+        # (tests/test_bases.py); a basis read from a file is checked where it enters
+        run_json(capsys, "decompose", "qudit", "3", "--out", str(tmp_path))
+        path = tmp_path / "qudit3_decomposition.json"
+        doc = json.loads(path.read_text())
+        doc["settings"][0]["party_bases"][0]["entries"][0][0] *= scale
+        path.write_text(json.dumps(doc))
+        code = main(["estimate", "qudit", "3", "--decomposition", str(path), "--seed", "1"])
+        err = f"error: invalid document {path}: ValueError: {message}\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
 
 BUILDERS = (
     "qudit_decomposition",
@@ -589,7 +623,10 @@ def test_dense_spectra_per_command(capsys, monkeypatch, tmp_path, argv, spectra)
         (["decompose", "ghz", "6"], 2),
         (["estimate", "ghz", "6", "--state", "d0", "--seed", "1", "--shots", "10"], 3),
         (["witness", "qudit", "5"], 2),
-        (["witness", "upb", "tiles", "--seed", "1", "--restarts", "4"], 5),
+        # mu0 once, shared by the see-saw, rho0 and the witness; then rho0 and tau0
+        (["witness", "upb", "tiles", "--seed", "1", "--restarts", "4"], 3),
+        # the family member and the published nearest state; no segment point
+        (["witness", "threeq", "0", "0.125"], 2),
     ],
 )
 def test_density_states_per_command(capsys, monkeypatch, tmp_path, argv, validations):
@@ -604,6 +641,23 @@ def test_density_states_per_command(capsys, monkeypatch, tmp_path, argv, validat
     monkeypatch.chdir(tmp_path)  # witness and decompose write to the working directory
     assert main(argv) == 0
     assert len(calls) == validations, calls
+
+
+@pytest.mark.parametrize("command,checks", [("decompose", 0), ("estimate", 42)])
+def test_basis_checks_per_command(capsys, monkeypatch, tmp_path, command, checks):
+    # a basis is checked where it is read, once: 7 settings of 6 parties from the
+    # file; the bases the program builds are unitary by form (tests/test_bases.py)
+    assert main(["decompose", "ghz", "6", "--out", str(tmp_path)]) == 0
+    calls = []
+    read = wio._basis_from_doc
+    monkeypatch.setattr(wio, "_basis_from_doc", lambda doc: calls.append(1) or read(doc))
+    argv = {
+        "decompose": ["decompose", "ghz", "6", "--out", str(tmp_path)],
+        "estimate": ["estimate", "ghz", "6", "--seed", "1", "--shots", "10",
+                     "--decomposition", str(tmp_path / "ghz6_decomposition.json")],
+    }[command]
+    assert main(argv) == 0
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize(
@@ -669,8 +723,9 @@ def test_ghz_setting_fault_fails(capsys, monkeypatch, tmp_path):
 def test_max_entangled_built_once(capsys, monkeypatch, tmp_path, argv):
     # rho0 serves both the witness and its closest separable state
     built = []
-    schmidt_state = states.schmidt_state
-    monkeypatch.setattr(states, "schmidt_state", lambda a: built.append(a) or schmidt_state(a))
+    max_entangled = states.max_entangled
+    for module in (states, measurements):
+        monkeypatch.setattr(module, "max_entangled", lambda d: built.append(d) or max_entangled(d))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert len(built) == 1, built
@@ -682,7 +737,10 @@ def test_three_qubit_family_built_once(capsys, monkeypatch, tmp_path, command):
     # expansion of the parity states is an identity test_states.py checks
     families, eighs = [], []
     family, eigh = states.three_qubit_family, np.linalg.eigh
-    monkeypatch.setattr(states, "three_qubit_family", lambda *a: families.append(a) or family(*a))
+    for module in (states, measurements):
+        monkeypatch.setattr(
+            module, "three_qubit_family", lambda *a: families.append(a) or family(*a)
+        )
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
     monkeypatch.chdir(tmp_path)
     assert main([command, "threeq", "0", "0.125"]) == 0

@@ -260,10 +260,11 @@ def test_witness_floor_for_ghz_targets():
 
 
 def test_witness_floor_for_far_face():
-    from witgeo.upb import estimate_epsilon, far_face_witness, tiles
+    from witgeo.upb import estimate_epsilon, far_face_witness, tiles, uniform_mixture
 
     upb = tiles()
-    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=32, seed=14))
-    w = far_face_witness(upb, eps)
+    mu0 = uniform_mixture(upb)
+    eps, _ = estimate_epsilon(upb, mu0, SeeSawConfig(restarts=32, seed=14))
+    w = far_face_witness(upb, mu0, eps)
     res = min_over_products(w.matrix, (3, 3), SeeSawConfig(restarts=32, seed=15))
     assert res.value >= -1e-8

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from witgeo.cli import MAX_SIZE
+from witgeo.linalg import MAX_SIZE
 from witgeo.measurements import ghz_witness
 from witgeo.spin import is_prime
 from witgeo.states import (
@@ -22,7 +22,7 @@ from witgeo.states import (
     ghz_dephased,
     max_entangled,
     three_qubit_family,
-    three_qubit_separable_candidates,
+    three_qubit_nearest,
 )
 from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
 
@@ -36,6 +36,11 @@ GHZ_PARTIES = range(2, MAX_SIZE.bit_length())  # up to 2^n = MAX_SIZE
 # far-face eps from just above the edge where Tr(W rho0) = -eps^2 N/(m(N-m))
 # reaches -DETECTION_TOL, eps = sqrt(1e-10 * 20/9) ~ 1.49e-5, to just below m/N
 TILES_EPS = [1.5e-5, 0.028416, 5 / 9 * (1 - 1e-9)]
+THREEQ_ADMITTED = [
+    (0.0, 0.125), (0.0, 0.125 + 1e-12), (0.0, 1e-12), (0.0, 0.0625),
+    (0.0625, 0.0625), (-0.0625, 0.0625), (0.03125, 0.0625),
+    (0.125 - 1e-9, 1e-9), (-0.125 + 1e-9, 1e-9), (0.1 + 1e-12, 0.025),
+]
 
 
 # Terms positive semidefinite by their form: ("diag", d) is diag(d) with d >= 0,
@@ -81,6 +86,11 @@ def _ghz_tau0(n):
     return g.witness.tau0, [*_scaled(x, _dephased_terms(n)), *_scaled(1 - x, _corner_terms(n))]
 
 
+def _tiles():
+    upb = tiles()
+    return upb, uniform_mixture(upb)
+
+
 def _tau_tilde(ds):
     d, s0 = ds
     terms = _segment_terms(s0, d * d, _max_entangled_terms(d))
@@ -117,22 +127,19 @@ CASES = {
         for c in (-0.125 - 1e-12, -0.125, -0.0625, 0.0, 0.0625, 0.125, 0.125 + 1e-12)
         for d in (-0.125 - 1e-12, -0.125, 0.0, 0.03125, 0.125, 0.125 + 1e-12)
     ],
-    # the CLI admits t > 0 with |m| + t <= 1/8 (up to the 1e-12 range tolerance)
+    # the CLI admits t > 0 with |m| + t <= 1/8 (up to the 1e-12 range tolerance); the
+    # segment point tau~0 at s = 1/(1+8t) is built by the tests' reference route
     **{
-        f"three_qubit_{part}": [
-            ((m, t), lambda mt, part=part: (getattr(three_qubit_separable_candidates(*mt), part),
-                                            None))
-            for m, t in [
-                (0.0, 0.125), (0.0, 0.125 + 1e-12), (0.0, 1e-12), (0.0, 0.0625),
-                (0.0625, 0.0625), (-0.0625, 0.0625), (0.03125, 0.0625),
-                (0.125 - 1e-9, 1e-9), (-0.125 + 1e-9, 1e-9), (0.1 + 1e-12, 0.025),
-            ]
+        f"three_qubit_{part}": [((m, t), build) for m, t in THREEQ_ADMITTED]
+        for part, build in [
+            ("nearest", lambda mt: (three_qubit_nearest(*mt), None)),
+            ("segment", lambda mt: (segment_state(three_qubit_family(*mt), 1 / (1 + 8 * mt[1])),
+                                    None)),
         ]
-        for part in ("nearest", "segment")
     },
     "uniform_mixture": [("tiles", lambda _: (uniform_mixture(tiles()), None))],
-    "bound_entangled": [("tiles", lambda _: (bound_entangled(tiles()), None))],
-    "far_face_tau0": [(eps, lambda eps: (far_face_witness(tiles(), eps).tau0, None))
+    "bound_entangled": [("tiles", lambda _: (bound_entangled(*_tiles()), None))],
+    "far_face_tau0": [(eps, lambda eps: (far_face_witness(*_tiles(), eps).tau0, None))
                       for eps in TILES_EPS],
 }
 

@@ -35,7 +35,7 @@ from witgeo.measurements import (
 )
 from witgeo.states import completely_random
 from witgeo.oracle import SeeSawConfig
-from witgeo.upb import estimate_epsilon, far_face_witness, tiles
+from witgeo.upb import estimate_epsilon, far_face_witness, tiles, uniform_mixture
 from witgeo.witness import evaluate
 
 
@@ -46,8 +46,9 @@ def _ghz(n):
 
 def _far_face():
     upb = tiles()
-    eps, _ = estimate_epsilon(upb, SeeSawConfig(restarts=24, seed=3))
-    return far_face_witness(upb, eps), far_face_decomposition(upb, eps)
+    mu0 = uniform_mixture(upb)
+    eps, _ = estimate_epsilon(upb, mu0, SeeSawConfig(restarts=24, seed=3))
+    return far_face_witness(upb, mu0, eps), far_face_decomposition(upb, eps)
 
 
 TARGETS = {

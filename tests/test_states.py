@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from witgeo.linalg import BadInput, hs_inner, partial_transpose, tensor
+from witgeo.measurements import three_qubit_witness
 from witgeo.states import (
     PAULI_X,
     PAULI_Y,
@@ -13,13 +14,12 @@ from witgeo.states import (
     ghz_dephased,
     max_entangled,
     pauli_parity_state,
-    schmidt_state,
     three_qubit_family,
-    three_qubit_separable_candidates,
+    three_qubit_nearest,
 )
 
 from ghz_reference import corner_mix, dephased, segment_weight
-from paper_states import noise_ball
+from paper_states import noise_ball, schmidt_state
 from segment_reference import segment_state
 
 
@@ -253,39 +253,36 @@ class TestThreeQubitFamily:
                 assert w.min() >= -1e-10
 
 
-class TestThreeQubitSeparableCandidates:
+class TestThreeQubitNearest:
     def test_gap_four_vector(self):
         t = 0.1
-        rho = three_qubit_family(0.0, t)
-        cands = three_qubit_separable_candidates(0.0, t)
-        gap = rho.mat - cands.nearest.mat
+        gap = three_qubit_family(0.0, t).mat - three_qubit_nearest(0.0, t).mat
         assert np.allclose(np.diag(gap), 0.0, atol=1e-15)
         anti = [gap[3 - i, 4 + i].real for i in range(4)]
         assert anti == pytest.approx((-t / 2, t / 2, t / 2, t / 2))
 
     def test_segment_matches_parity_expansion(self):
-        # independent route: normalized mixture of the four parity states
+        # the segment point at s = 1/(1+8t), which solves rho = (1+8t)*segment - 8t*I/8,
+        # against an independent route: a normalized mixture of the four parity states
         t = 0.125
-        cands = three_qubit_separable_candidates(0.0, t)
+        segment = segment_state(three_qubit_family(0.0, t), 1 / (1 + 8 * t))
         p111 = pauli_parity_state(1, 1, 1, +1)
         m221 = pauli_parity_state(2, 2, 1, -1)
         m212 = pauli_parity_state(2, 1, 2, -1)
         p122 = pauli_parity_state(1, 2, 2, +1)
         want = (0.5 * (p111 + m221) + 4 * t * (m212 + p122)) / (1 + 8 * t)
-        assert np.abs(cands.segment.mat - want).max() <= 1e-14
+        assert np.abs(segment.mat - want).max() <= 1e-14
 
     def test_gap_independent_of_mean_parameter(self):
         t = 0.06
-        base = three_qubit_family(0.0, t).mat - three_qubit_separable_candidates(0.0, t).nearest.mat
+        base = three_qubit_family(0.0, t).mat - three_qubit_nearest(0.0, t).mat
         for m in (-0.05, 0.02, 0.06):
-            gap = (
-                three_qubit_family(m, t).mat
-                - three_qubit_separable_candidates(m, t).nearest.mat
-            )
+            gap = three_qubit_family(m, t).mat - three_qubit_nearest(m, t).mat
             assert np.abs(gap - base).max() <= 1e-14
 
     def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            three_qubit_separable_candidates(0.0, 0.0)
-        with pytest.raises(ValueError):
-            three_qubit_separable_candidates(0.0, -0.1)
+        # the witness through the nearest state takes t > 0 only
+        with pytest.raises(BadInput, match="t must be positive"):
+            three_qubit_witness(0.0, 0.0)
+        with pytest.raises(BadInput, match="t must be positive"):
+            three_qubit_witness(0.0, -0.1)

@@ -28,9 +28,14 @@ def tiles_upb():
 
 
 @pytest.fixture(scope="module")
-def eps_estimate(tiles_upb):
+def tiles_mu0(tiles_upb):
+    return uniform_mixture(tiles_upb)
+
+
+@pytest.fixture(scope="module")
+def eps_estimate(tiles_upb, tiles_mu0):
     # (eps, the see-saw's MinProductsResult)
-    return estimate_epsilon(tiles_upb, SeeSawConfig(restarts=64, seed=0))
+    return estimate_epsilon(tiles_upb, tiles_mu0, SeeSawConfig(restarts=64, seed=0))
 
 
 class TestTilesFamily:
@@ -59,12 +64,12 @@ class TestTilesFamily:
 
 
 class TestUniformMixture:
-    def test_rank_and_purity(self, tiles_upb):
-        mu = uniform_mixture(tiles_upb)
-        w = np.linalg.eigvalsh(mu.mat)
+    def test_rank_and_purity(self, tiles_mu0):
+        mu = tiles_mu0.mat
+        w = np.linalg.eigvalsh(mu)
         assert np.sum(w > 1e-10) == 5
-        assert np.trace(mu.mat @ mu.mat).real == pytest.approx(1 / 5, abs=1e-12)
-        assert np.trace(mu.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(mu @ mu).real == pytest.approx(1 / 5, abs=1e-12)
+        assert np.trace(mu).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("family", [tiles, shifts, pyramid])
     def test_bit_identical_to_member_sum(self, family):
@@ -75,20 +80,19 @@ class TestUniformMixture:
 
 
 class TestBoundEntangled:
-    def test_spectrum(self, tiles_upb):
-        rho = bound_entangled(tiles_upb)
+    def test_spectrum(self, tiles_upb, tiles_mu0):
+        rho = bound_entangled(tiles_upb, tiles_mu0)
         w = np.linalg.eigvalsh(rho.mat)
         assert w.min() == pytest.approx(0.0, abs=1e-12)
         assert np.sum(w > 1e-10) == 4
         assert np.allclose(w[-4:], 0.25, atol=1e-12)
 
-    def test_orthogonal_to_mixture(self, tiles_upb):
-        mu = uniform_mixture(tiles_upb)
-        rho = bound_entangled(tiles_upb)
-        assert abs(hs_inner(mu.mat, rho.mat)) <= 1e-10
+    def test_orthogonal_to_mixture(self, tiles_upb, tiles_mu0):
+        rho = bound_entangled(tiles_upb, tiles_mu0)
+        assert abs(hs_inner(tiles_mu0.mat, rho.mat)) <= 1e-10
 
-    def test_ppt_both_cuts(self, tiles_upb):
-        rho = bound_entangled(tiles_upb)
+    def test_ppt_both_cuts(self, tiles_upb, tiles_mu0):
+        rho = bound_entangled(tiles_upb, tiles_mu0)
         for cut in ([0], [1]):
             w = np.linalg.eigvalsh(partial_transpose(rho.mat, cut, rho.dims))
             assert w.min() >= -1e-10
@@ -100,13 +104,12 @@ class TestBoundEntangled:
         tilted = e1 + 0.99e-10 * e0
         upb = UpbSet((2, 2), ((e0, e0), (e0, tilted), (tilted, e0)))
         with pytest.raises(ValueError, match="complement state not PSD"):
-            bound_entangled(upb)
+            bound_entangled(upb, uniform_mixture(upb))
 
-    def test_random_state_on_segment(self, tiles_upb):
+    def test_random_state_on_segment(self, tiles_upb, tiles_mu0):
         # (N-m)/N * rho0 + m/N * mu0 recovers the maximally mixed state
-        mu = uniform_mixture(tiles_upb)
-        rho = bound_entangled(tiles_upb)
-        mix = (4 / 9) * rho.mat + (5 / 9) * mu.mat
+        rho = bound_entangled(tiles_upb, tiles_mu0)
+        mix = (4 / 9) * rho.mat + (5 / 9) * tiles_mu0.mat
         assert np.abs(mix - completely_random((3, 3)).mat).max() <= 1e-12
 
 
@@ -120,19 +123,19 @@ class TestEpsilonEstimate:
     def test_consensus(self, eps_estimate):
         assert eps_estimate[1].consensus >= 8
 
-    def test_seed_stability(self, tiles_upb, eps_estimate):
+    def test_seed_stability(self, tiles_upb, tiles_mu0, eps_estimate):
         for seed in (1, 2):
-            other, _ = estimate_epsilon(tiles_upb, SeeSawConfig(restarts=64, seed=seed))
+            cfg = SeeSawConfig(restarts=64, seed=seed)
+            other, _ = estimate_epsilon(tiles_upb, tiles_mu0, cfg)
             assert abs(other - eps_estimate[0]) <= 1e-8
 
-    def test_more_restarts_no_improvement(self, tiles_upb, eps_estimate):
-        bigger, _ = estimate_epsilon(tiles_upb, SeeSawConfig(restarts=128, seed=0))
+    def test_more_restarts_no_improvement(self, tiles_upb, tiles_mu0, eps_estimate):
+        bigger, _ = estimate_epsilon(tiles_upb, tiles_mu0, SeeSawConfig(restarts=128, seed=0))
         assert eps_estimate[0] - bigger <= 1e-9
 
-    def test_argmin_attains(self, tiles_upb, eps_estimate):
-        mu = uniform_mixture(tiles_upb)
+    def test_argmin_attains(self, tiles_mu0, eps_estimate):
         eps, res = eps_estimate
-        val = np.trace(mu.mat @ product_matrix(res.argmin)).real
+        val = np.trace(tiles_mu0.mat @ product_matrix(res.argmin)).real
         assert val == pytest.approx(eps / 5, abs=1e-12)
 
     def test_extendible_family_rejected(self):
@@ -140,41 +143,42 @@ class TestEpsilonEstimate:
         e = np.eye(3)
         vecs = tuple((e[i], e[j]) for i, j in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
         extendible = UpbSet((3, 3), vecs)
+        cfg = SeeSawConfig(restarts=16, seed=3)
         with pytest.raises(ValueError, match="extendible"):
-            estimate_epsilon(extendible, SeeSawConfig(restarts=16, seed=3))
+            estimate_epsilon(extendible, uniform_mixture(extendible), cfg)
 
 
 class TestFarFaceWitness:
-    def test_detection_value(self, tiles_upb, eps_estimate):
+    def test_detection_value(self, tiles_upb, tiles_mu0, eps_estimate):
         eps, _ = eps_estimate
-        w = far_face_witness(tiles_upb, eps)
+        w = far_face_witness(tiles_upb, tiles_mu0, eps)
         want = -eps * eps * 9 / (5 * 4)
         assert evaluate(w, w.rho0) == pytest.approx(want, abs=1e-12)
 
-    def test_detects_at_small_eps(self, tiles_upb):
+    def test_detects_at_small_eps(self, tiles_upb, tiles_mu0):
         # Tr(W rho0) = -eps^2 N/(m(N-m)) crosses -DETECTION_TOL at the edge
         # eps = sqrt(1e-10 * 20/9) ~ 1.49e-5: below it there is no witness
         edge = np.sqrt(DETECTION_TOL * 20 / 9)
         for eps in np.logspace(-11, -3, 17):
             if eps < edge:
                 with pytest.raises(BadInput, match="does not detect its target"):
-                    far_face_witness(tiles_upb, eps)
+                    far_face_witness(tiles_upb, tiles_mu0, eps)
             else:
-                w = far_face_witness(tiles_upb, eps)
+                w = far_face_witness(tiles_upb, tiles_mu0, eps)
                 assert evaluate(w, w.rho0) == pytest.approx(-eps * eps * 9 / 20, rel=1e-6)
         with pytest.raises(BadInput):
-            far_face_witness(tiles_upb, edge * (1 - 1e-3))
-        w = far_face_witness(tiles_upb, edge * (1 + 1e-3))
+            far_face_witness(tiles_upb, tiles_mu0, edge * (1 - 1e-3))
+        w = far_face_witness(tiles_upb, tiles_mu0, edge * (1 + 1e-3))
         assert evaluate(w, w.rho0) < -DETECTION_TOL
 
-    def test_vanishes_on_argmin(self, tiles_upb, eps_estimate):
+    def test_vanishes_on_argmin(self, tiles_upb, tiles_mu0, eps_estimate):
         eps, res = eps_estimate
-        w = far_face_witness(tiles_upb, eps)
+        w = far_face_witness(tiles_upb, tiles_mu0, eps)
         val = np.trace(w.matrix @ product_matrix(res.argmin)).real
         assert abs(val) <= 1e-8
 
-    def test_positive_on_sampled_products(self, tiles_upb, eps_estimate):
-        w = far_face_witness(tiles_upb, eps_estimate[0])
+    def test_positive_on_sampled_products(self, tiles_upb, tiles_mu0, eps_estimate):
+        w = far_face_witness(tiles_upb, tiles_mu0, eps_estimate[0])
         rng = np.random.default_rng(4)
         worst = np.inf
         for _ in range(2000):
@@ -184,19 +188,19 @@ class TestFarFaceWitness:
             worst = min(worst, (f.conj() @ w.matrix @ f).real)
         assert worst >= -1e-8
 
-    def test_eps_bracket_enforced(self, tiles_upb):
+    def test_eps_bracket_enforced(self, tiles_upb, tiles_mu0):
         with pytest.raises(ValueError):
-            far_face_witness(tiles_upb, 0.0)
+            far_face_witness(tiles_upb, tiles_mu0, 0.0)
         with pytest.raises(ValueError):
-            far_face_witness(tiles_upb, 5 / 9)
+            far_face_witness(tiles_upb, tiles_mu0, 5 / 9)
 
-    def test_segment_construction_coincides(self, tiles_upb, eps_estimate):
+    def test_segment_construction_coincides(self, tiles_upb, tiles_mu0, eps_estimate):
         # hyperplane route through tau0 = (1-s0) I/N + s0 rho0
         eps, _ = eps_estimate
-        w = far_face_witness(tiles_upb, eps)
+        w = far_face_witness(tiles_upb, tiles_mu0, eps)
         n, m = 9, 5
         s0 = 1 - eps * n / m
-        rho = bound_entangled(tiles_upb)
+        rho = bound_entangled(tiles_upb, tiles_mu0)
         tau_mat = (1 - s0) * np.eye(n) / n + s0 * rho.mat
         c0 = hs_inner(tau_mat, rho.mat - tau_mat).real
         other = tau_mat + c0 * np.eye(n) - rho.mat
@@ -205,9 +209,9 @@ class TestFarFaceWitness:
 
 
 class TestReweighted:
-    def test_uniform_recovers_base_state(self, tiles_upb):
+    def test_uniform_recovers_base_state(self, tiles_upb, tiles_mu0):
         rho_b = reweighted_bound_entangled(tiles_upb, [0.2] * 5)
-        assert np.abs(rho_b.mat - bound_entangled(tiles_upb).mat).max() <= 1e-12
+        assert np.abs(rho_b.mat - bound_entangled(tiles_upb, tiles_mu0).mat).max() <= 1e-12
 
     def test_tilted_weights(self, tiles_upb, eps_estimate):
         rho_b = reweighted_bound_entangled(tiles_upb, [0.24, 0.19, 0.19, 0.19, 0.19])
@@ -215,7 +219,7 @@ class TestReweighted:
             w = np.linalg.eigvalsh(partial_transpose(rho_b.mat, cut, rho_b.dims))
             assert w.min() >= -1e-10
 
-    def test_detection_region(self, tiles_upb, eps_estimate):
+    def test_detection_region(self, tiles_upb, tiles_mu0, eps_estimate):
         # Tr(W rho_b) < 0 iff Tr(mu0 rho_b) = (1 - b/m)/(N - b) < eps/m, so
         # only tilts with max weight within ~2% of uniform stay detected;
         # the frustum test (sufficient, a factor m stricter at p=1) implies
@@ -223,7 +227,7 @@ class TestReweighted:
         from witgeo.witness import frustum_predicate
 
         eps, _ = eps_estimate
-        wit = far_face_witness(tiles_upb, eps)
+        wit = far_face_witness(tiles_upb, tiles_mu0, eps)
         inside = [0.2009] + [(1 - 0.2009) / 4] * 4
         rho_in = reweighted_bound_entangled(tiles_upb, inside)
         assert frustum_predicate(1.0, 0.0, 9, 5, 1 / max(inside), eps)

@@ -10,9 +10,8 @@ from witgeo.states import (
     closest_separable,
     completely_random,
     max_entangled,
-    schmidt_state,
     three_qubit_family,
-    three_qubit_separable_candidates,
+    three_qubit_nearest,
 )
 from witgeo.upb import bound_entangled, far_face_witness, tiles, uniform_mixture
 from witgeo.witness import (
@@ -26,7 +25,7 @@ from witgeo.witness import (
     two_qubit_noise_threshold,
 )
 
-from paper_states import noise_ball
+from paper_states import noise_ball, schmidt_state
 from random_states import random_density, sampled_identity_deviation
 from segment_reference import segment_state, segment_witness
 
@@ -56,7 +55,7 @@ class TestNearestWitness:
     @pytest.mark.parametrize("t", (1 / 32, 1 / 16, 1 / 8))
     def test_three_qubit_constant(self, t):
         rho = three_qubit_family(0.0, t)
-        tau = three_qubit_separable_candidates(0.0, t).nearest
+        tau = three_qubit_nearest(0.0, t)
         w = nearest_witness(rho, tau)
         assert w.c0 == pytest.approx(t / 4, abs=1e-12)
 
@@ -252,10 +251,11 @@ class TestWitnessInvariants:
         w = nearest_witness(rho, tau)
         assert np.array_equal(w.matrix, tau.mat + w.c0 * np.eye(9) - rho.mat)
         upb, eps = tiles(), 0.028416
-        far = far_face_witness(upb, eps)
-        closed = eps * 9 / 4 * (uniform_mixture(upb).mat - eps / 5 * np.eye(9))
+        mu0 = uniform_mixture(upb)
+        far = far_face_witness(upb, mu0, eps)
+        closed = eps * 9 / 4 * (mu0.mat - eps / 5 * np.eye(9))
         assert np.array_equal(far.matrix, closed)
-        assert np.array_equal(far.rho0.mat, bound_entangled(upb).mat)
+        assert np.array_equal(far.rho0.mat, bound_entangled(upb, mu0).mat)
 
     def test_closed_form_targets_detect_with_margin(self):
         # Tr(W rho0) = -||rho0 - tau0||^2 sits at least 1/3 below zero for every
@@ -278,7 +278,7 @@ class TestWitnessInvariants:
 
     def test_three_qubit_detection_is_mean_independent(self):
         t = 0.08
-        tau = three_qubit_separable_candidates(0.0, t).nearest
+        tau = three_qubit_nearest(0.0, t)
         w = nearest_witness(three_qubit_family(0.0, t), tau)
         for m in (-0.04, 0.0, 0.04):
             val = evaluate(w, three_qubit_family(m, t))
