@@ -276,26 +276,30 @@ def _parse_amps(text: str) -> np.ndarray:
     return np.array([_float_param(a, "amplitudes") for a in text.split(",")])
 
 
+def _unit(values, zero: str) -> np.ndarray:
+    """Rounded input over its norm; the largest magnitude goes first: no overflow, no subnormals."""
+    scale = np.abs(values).max(initial=0)  # an empty amplitudes file is all zero
+    if scale == 0:
+        raise BadInput(zero)
+    values = np.divide(values, scale)
+    return values / np.linalg.norm(values)
+
+
 def cmd_threshold(args) -> tuple:
     kind = args.kind
     if kind == "twoqubit":
-        a = _float_param(args.params[0], "a")
-        b = _float_param(args.params[1], "b")
+        ab = [_float_param(args.params[0], "a"), _float_param(args.params[1], "b")]
         delta = _float_param(args.params[2], "delta")
-        norm = np.hypot(a, b)  # accept rounded inputs; rescale to the unit circle
-        if norm == 0:
-            raise BadInput("a and b cannot both be zero")
-        value = two_qubit_noise_threshold(a / norm, b / norm, delta)
+        value = two_qubit_noise_threshold(*_unit(ab, "a and b cannot both be zero"), delta)
         outputs = {"threshold": _scalar(value, tol=1e-15)}
     elif kind == "qudit":
         d = _int_param(args.params[0], "d")
-        amps = _parse_amps(args.params[1])
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise BadInput("amplitudes cannot all be zero")
+        if d < 2:
+            raise BadInput(f"qudit dimension must be at least 2, got {d}")
+        amps = _unit(_parse_amps(args.params[1]), "amplitudes cannot all be zero")
         p = _float_param(args.params[2], "p")
         delta = _float_param(args.params[3], "delta")
-        value = qudit_detection_predicate(d, amps / norm, p, delta)
+        value = qudit_detection_predicate(d, amps, p, delta)
         outputs = {"detected": bool(value)}
     else:  # frustum, the last kind the parser admits
         p, delta, n, m, b, eps = (_float_param(x, "frustum args") for x in args.params)

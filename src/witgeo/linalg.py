@@ -7,9 +7,9 @@ their local dimensions ``dims = (d1, ..., dn)``, a tuple of ints, so
 partial transposes and local contractions know where the party
 boundaries are; ``tensor`` is the one Kronecker product, of matrices or
 of broadcasting stacks of them.  A ``DensityState`` is immutable after
-construction, its matrix marked read-only; it checks the matrix in one
-O(N^2) pass and takes no spectrum; positivity is shown where a state can
-lack it.
+construction: it adopts the complex array it is given (other input is
+converted) and marks it read-only; it checks the matrix in one O(N^2)
+pass and takes no spectrum; positivity is shown where a state can lack it.
 """
 
 from __future__ import annotations
@@ -41,18 +41,19 @@ def check_size(size: int, form: str) -> None:
 class DensityState:
     """A density operator on the tensor-product space of local dimensions ``dims``.
 
-    Construction checks what one O(N^2) pass can: square, size against
-    ``dims``, finite, Hermitian (in bounded row blocks), unit trace.  It
-    takes no spectrum: states built here are convex combinations of positive
-    semidefinite matrices by their closed forms (proven in the tests), and
-    input is checked where it enters, UPB files by ``upb.bound_entangled``.
+    Construction adopts a complex ``mat`` uncopied and read-only, and checks what
+    one O(N^2) pass can: square, size against ``dims``, finite, Hermitian (in
+    bounded row blocks), unit trace.  It takes no spectrum: states built here are
+    convex combinations of positive semidefinite matrices by their closed forms
+    (proven in the tests), and input is checked where it enters, UPB files by
+    ``upb.bound_entangled``.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
+        mat = np.asarray(self.mat, dtype=complex)
         mat.setflags(write=False)
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "mat", mat)

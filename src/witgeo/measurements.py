@@ -27,7 +27,7 @@ single-outcome settings).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +41,8 @@ from .states import (
     three_qubit_nearest,
     x_matrix,
 )
+from .upb import UpbSet
 from .witness import Witness, nearest_witness
-
-if TYPE_CHECKING:
-    from .upb import UpbSet
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,9 @@ def ghz_witness(n: int) -> GhzWitness:
 
         x = <Delta - Q, rho0 - Q> / |Delta - Q|^2 = (N-2)^2 / (N^2 - 2N + 4),
 
-    which lies in (0, 1) for every n >= 2.  tau0 and the convex form are built
-    from their X entries (states.x_matrix); the form is checked against W entrywise."""
+    which lies in (0, 1) for every n >= 2, so b = 1 - x and c = N/2 - 1 + x are
+    positive (tests pin a > 0).  tau0 and the convex form are built from their X
+    entries (states.x_matrix); the form is checked against W entrywise."""
     if n < 2:
         raise BadInput(f"ghz needs at least two parties, got n = {n}")
     rho0 = ghz(n)
@@ -221,8 +220,6 @@ def ghz_witness(n: int) -> GhzWitness:
     dev = np.abs(x_matrix(size, a - c / size, a - b / 2 - c / size, -c / size) - wit.matrix).max()
     if dev > 1e-10:
         raise AssertionError(f"witness coefficients inconsistent by {dev:.3e}")
-    if min(a, b, c) <= 0:
-        raise AssertionError(f"expected positive coefficients, got {(a, b, c)}")
     return GhzWitness(a, b, c, x, wit)
 
 
@@ -262,16 +259,12 @@ def ghz_decomposition(n: int) -> GhzDecomposition:
 def complete_basis(v: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis whose first column is v."""
     v = np.asarray(v, dtype=complex).ravel()
-    d = len(v)
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)]))
-    if abs(abs(np.vdot(q[:, 0], v)) - 1.0) > 1e-10:
-        raise AssertionError("basis completion lost the seed vector")
-    q = np.array(q)
+    q, _ = np.linalg.qr(np.column_stack([v, np.eye(len(v))]))
     q[:, 0] = v  # undo the QR phase on the seed column
     return q
 
 
-def far_face_decomposition(upb: "UpbSet", eps: float) -> WitnessDecomposition:
+def far_face_decomposition(upb: UpbSet, eps: float) -> WitnessDecomposition:
     """Settings measuring the far-face witness of an unextendible product basis.
 
     Each basis member is a product vector, so one local setting per
@@ -280,11 +273,8 @@ def far_face_decomposition(upb: "UpbSet", eps: float) -> WitnessDecomposition:
 
         W = eps*N/(N-m) * mu0 - eps^2*N/(m(N-m)) * I
     """
-    n_total = upb.n
     m = upb.m
-    if not 0 < eps < m / n_total:
-        raise ValueError(f"eps = {eps} outside (0, m/N)")
-    coeff = eps * n_total / (n_total - m)
+    coeff = eps * upb.n / (upb.n - m)
     settings = []
     for k in range(m):
         bases = tuple(complete_basis(f) for f in upb.vectors[k])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BadInput, DensityState, is_hermitian, partial_transpose, tensor
+from .linalg import DensityState, is_hermitian, partial_transpose, tensor
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ def ppt_report(rho: DensityState) -> PptReport:
     Transposing a subset and its complement give matrices with the same
     spectrum, so only subsets excluding party 0 are listed.
     """
-    n = len(rho.dims)
-    if n < 2:
-        raise ValueError("need at least two parties")
-    others = range(1, n)
+    others = range(1, len(rho.dims))
     cuts = itertools.chain.from_iterable(itertools.combinations(others, r) for r in others)
     return PptReport(
         {c: float(np.linalg.eigvalsh(partial_transpose(rho.mat, c, rho.dims))[0]) for c in cuts}
@@ -62,10 +59,6 @@ MAX_RESTARTS = 256
 class SeeSawConfig:
     restarts: int
     seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise BadInput(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,6 @@ def min_over_products(h: np.ndarray, dims, cfg: SeeSawConfig) -> MinProductsResu
     if not is_hermitian(h):
         raise ValueError("objective matrix must be Hermitian")
     dims = tuple(int(d) for d in dims)
-    if not dims or int(np.prod(dims)) != h.shape[0]:
-        raise ValueError(f"dims {dims} do not match matrix size {h.shape[0]}")
 
     draw = np.random.default_rng(cfg.seed).normal(size=(cfg.restarts, sum(dims), 2))
     starts = np.split(draw.view(complex)[..., 0], np.cumsum(dims)[:-1], axis=1)

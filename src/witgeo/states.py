@@ -68,8 +68,6 @@ def x_matrix(size: int, diag, end, corner) -> np.ndarray:
 
 def ghz(n: int) -> DensityState:
     """Projector onto (|0...0> + |1...1>)/sqrt(2) for n qubits."""
-    if n < 2:
-        raise ValueError("need at least two parties")
     v = np.complex128(1 / np.sqrt(2))
     return DensityState(x_matrix(2**n, 0, v * v.conj(), v * v.conj()), (2,) * n)
 

@@ -21,10 +21,10 @@ coincides with the hyperplane form tau0 + c0*I - rho0 through the segment
 point tau0 = (1-s0) I/N + s0 rho0 at s0 = 1 - eps*N/m; far_face_witness
 checks that coincidence once, on construction.  Like every Witness it
 needs Tr(W rho0) = -eps^2 N/(m(N-m)) < -DETECTION_TOL, so a tiny eps is bad input.
-estimate_epsilon runs the see-saw under the caller's SeeSawConfig and
-returns eps together with the see-saw's own MinProductsResult (value
-eps/m, argmin, consensus and every restart's value).  The three take
-mu0 = uniform_mixture(upb), which a command builds once.
+estimate_epsilon runs the see-saw under the caller's SeeSawConfig and returns
+eps with the see-saw's own MinProductsResult (value eps/m, argmin, consensus,
+every restart's value); far_face_witness alone checks eps in (0, m/N).  The
+three take mu0 = uniform_mixture(upb), which a command builds once.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def estimate_epsilon(
     Returns eps with the see-saw's own result, whose value is eps/m.  eps
     is an upper bound on the true m * infimum (restart consensus is the
     confidence proxy).  A value at numerical zero contradicts
-    unextendibility and is rejected; so is a value outside the bracket
-    (0, m/N) required for the far-face witness.
+    unextendibility and is rejected; far_face_witness, which the CLI runs on
+    eps next, checks the bracket (0, m/N) that the far-face witness needs.
     """
     res = min_over_products(mu0.mat, upb.dims, cfg)
     if res.value <= 1e-12:
@@ -153,10 +153,7 @@ def estimate_epsilon(
             "minimum product overlap is numerically zero; the family is extendible "
             "or otherwise invalid"
         )
-    eps = upb.m * res.value
-    if not eps < upb.m / upb.n:
-        raise AssertionError(f"eps = {eps} exceeds its bracket m/N")
-    return eps, res
+    return upb.m * res.value, res
 
 
 def far_face_witness(upb: UpbSet, mu0: DensityState, eps: float) -> Witness:

@@ -37,7 +37,7 @@ DETECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Witness:
-    """Hermitian witness observable with its construction data and Tr(W rho0)."""
+    """Hermitian witness observable (adopted uncopied, read-only), its data and Tr(W rho0)."""
 
     matrix: np.ndarray
     c0: float
@@ -47,7 +47,7 @@ class Witness:
     detection_value: float = field(init=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         value = hs_inner(mat, self.rho0.mat).real
@@ -70,8 +70,6 @@ def nearest_witness(rho0: DensityState, tau0: DensityState) -> Witness:
     tau0 with normal rho0 - tau0.  rho0 = tau0 gives W = 0, which Witness rejects.
     W is formed as tau0 - rho0, without an identity matrix, then its diagonal as
     (tau0 + c0) - rho0."""
-    if rho0.dims != tau0.dims:
-        raise ValueError(f"shape mismatch: {rho0.dims} vs {tau0.dims}")
     c0 = hs_inner(tau0.mat, rho0.mat - tau0.mat).real
     mat = tau0.mat - rho0.mat
     mat.flat[:: rho0.n + 1] = tau0.mat.diagonal() + c0 - rho0.mat.diagonal()

@@ -169,6 +169,24 @@ class TestWitnessCommand:
         err = f"error: {path}: target too large for dense matrices: N = 67x67 > 4096\n"
         assert (code, *capsys.readouterr()) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "first,reason",
+        [
+            ([[1, 0, 0]], "each vector needs one factor per party"),
+            ([[1, 0], [1, 0, 0]], "factor length 2 != local dimension 3"),
+            ([[0, 0, 0], [1, 0, 0]], "zero factor"),
+        ],
+        ids=["missing_factor", "short_factor", "zero_factor"],
+    )
+    def test_upb_vector_faults_are_named(self, capsys, tmp_path, first, reason):
+        doc = upb_doc(upb_tiles())
+        doc["vectors"][0] = [pairs(factor) for factor in first]
+        path = tmp_path / "upb.json"
+        path.write_text(json.dumps(doc))
+        code = main(["witness", "upb", str(path), "--seed", "1", "--out", str(tmp_path)])
+        err = f"error: invalid document {path}: ValueError: {reason}\n"
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
     def test_empty_upb_file_is_named(self, capsys, tmp_path):
         # named before the Gram matrix, which has no factors to multiply
         path = tmp_path / "upb.json"
@@ -817,6 +835,41 @@ def test_threeq_accepts_exactly_the_detected_t(m):
     assert accepted == list(range(accepted[0], accepted[-1] + 1)), accepted
 
 
+# threshold inputs at extreme magnitudes and the unit-scale forms they rescale to
+EXTREME_THRESHOLDS = [
+    (["twoqubit", "1e-320", "1e-320", "0"], ["twoqubit", "1", "1", "0"]),
+    (["qudit", "3", "1e308,1e308,1e308", "0.5", "0"], ["qudit", "3", "1,1,1", "0.5", "0"]),
+    (["qudit", "3", "1e-320,1e-320,1e-320", "0.5", "0"], ["qudit", "3", "1,1,1", "0.5", "0"]),
+]
+EXTREME_IDS = ["twoqubit_subnormal", "qudit_huge", "qudit_subnormal"]
+
+
+def _threshold_result(run_cli, capsys, params):
+    """The outputs and headline of one threshold run that exits 0 with empty stderr."""
+    code = run_cli(["threshold", *params])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    return report["outputs"], report["headline"]
+
+
+def test_extreme_thresholds_in_a_fresh_process(capsys):
+    # a fresh interpreter without the suite's warning filter: a numpy warning would reach stderr
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run_process(argv):
+        proc = subprocess.run([sys.executable, "-m", "witgeo.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        print(proc.stdout, end="")
+        print(proc.stderr, end="", file=sys.stderr)
+        return proc.returncode
+
+    for params, rescaled in EXTREME_THRESHOLDS:
+        got = _threshold_result(run_process, capsys, params)
+        assert got == _threshold_result(main, capsys, rescaled)
+
+
 class TestThresholdCommand:
     def test_two_qubit_value(self, capsys):
         code, doc = run_json(capsys, "threshold", "twoqubit", "0.7071", "0.7071", "0")
@@ -846,6 +899,28 @@ class TestThresholdCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "params,reason",
+        [
+            (["qudit", "1", "1,1,1", "0.5", "0"], "qudit dimension must be at least 2, got 1"),
+            (["qudit", "0", "1,1,1", "0.5", "0"], "qudit dimension must be at least 2, got 0"),
+            (["qudit", "-3", "1,1,1", "0.5", "0"], "qudit dimension must be at least 2, got -3"),
+            (["qudit", "3", "1,1", "0.5", "0"], "expected 3 coefficients, got 2"),
+            # every other frustum value is valid: the delta check is the one that fires
+            (["frustum", "0.5", "-0.1", "9", "5", "5", "0.028"],
+             "delta must be nonnegative, got -0.1"),
+        ],
+        ids=["qudit_d1", "qudit_d0", "qudit_d-3", "qudit_amplitude_count", "frustum_delta"],
+    )
+    def test_rejection_names_its_reason(self, capsys, params, reason):
+        code = main(["threshold", *params])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {reason}\n")
+
+    @pytest.mark.parametrize("params,rescaled", EXTREME_THRESHOLDS, ids=EXTREME_IDS)
+    def test_extreme_magnitudes_rescale(self, capsys, params, rescaled):
+        # the largest magnitude divides first: no subnormal norm, no overflow warning
+        assert _threshold_result(main, capsys, params) == _threshold_result(main, capsys, rescaled)
+
+    @pytest.mark.parametrize(
         "params",
         [
             ["twoqubit", "nan", "1", "0"],
@@ -861,6 +936,7 @@ class TestThresholdCommand:
             ["qudit", "3", ["1", 1, 1], "0.5", "0"],
             ["qudit", "3", [float("nan"), 1, 1], "0.5", "0"],
             ["qudit", "3", [10**400, 1, 1], "0.5", "0"],
+            ["qudit", "3", [], "0.5", "0"],
             ["qudit", "3", "1,1,1", "0.2", "-5"],
             ["qudit", "3", "1,1,1", "1.5", "0"],
             ["qudit", "3", "1,1,1", "1", "1e308"],  # finite, but the noise term overflows
@@ -871,7 +947,7 @@ class TestThresholdCommand:
         ids=[
             "twoqubit_nan_a", "twoqubit_inf_delta", "twoqubit_huge_delta", "qudit_nan_p",
             "qudit_nan_amplitude", "frustum_inf_n", "frustum_fractional_n", "file_object",
-            "file_nested", "file_bool", "file_string", "file_nan", "file_huge_int",
+            "file_nested", "file_bool", "file_string", "file_nan", "file_huge_int", "file_empty",
             "qudit_negative_delta", "qudit_p_above_one", "qudit_huge_delta",
             "frustum_p_above_one_negative_delta", "frustum_negative_p", "frustum_p_above_one",
         ],
@@ -950,6 +1026,13 @@ class TestOutputModes:
         assert code == 0
         rows = dict(line.split(",", 1) for line in out.strip().splitlines())
         assert float(rows["outputs.c0.value"]) == pytest.approx(1 / 6, abs=1e-12)
+
+    def test_csv_indexes_list_items(self, capsys, tmp_path):
+        code, out = run(
+            capsys, "witness", "qudit", "3", "--format", "csv", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert "inputs.params.0,3" in out.splitlines()
 
 
 def test_unexpected_error_exits_internal(capsys, monkeypatch):

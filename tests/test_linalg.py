@@ -204,6 +204,20 @@ class TestDensityState:
         with pytest.raises(ValueError, match="non-finite"):
             DensityState(m, (2, 2))
 
+    @pytest.mark.parametrize("mat", [np.full(4, 0.25), np.full((2, 4), 0.125)], ids=["1d", "2x4"])
+    def test_rejects_non_square(self, mat):
+        with pytest.raises(ValueError, match="^density matrix must be square$"):
+            DensityState(mat, (2, 2))
+
+    def test_adopts_a_complex_matrix(self):
+        # a complex array is kept, not copied, and marked read-only; other input is converted
+        mat = np.eye(4, dtype=complex) / 4
+        assert DensityState(mat, (2, 2)).mat is mat
+        assert not mat.flags.writeable
+        real = np.eye(4) / 4
+        st = DensityState(real, (2, 2))
+        assert st.mat.dtype == complex and real.flags.writeable
+
     def test_matrix_is_readonly(self):
         st = DensityState(BELL, (2, 2))
         with pytest.raises(ValueError):

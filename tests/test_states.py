@@ -198,6 +198,10 @@ class TestPauliParityState:
         with pytest.raises(ValueError):
             pauli_parity_state(3, 1, 1, +1)
 
+    def test_invalid_sign(self):
+        with pytest.raises(ValueError, match="^sign must be \\+1 or -1$"):
+            pauli_parity_state(1, 1, 1, 0)
+
 
 class TestThreeQubitFamily:
     def test_four_vector_entries(self):

@@ -64,6 +64,12 @@ class TestNearestWitness:
         with pytest.raises(ValueError):
             nearest_witness(tau, tau)
 
+    def test_adopts_a_complex_matrix(self):
+        w = bell_witness()
+        mat = np.array(w.matrix)  # fresh and writable
+        adopted = Witness(mat, w.c0, w.rho0, w.tau0)
+        assert adopted.matrix is mat and not mat.flags.writeable
+
     def test_detection_equals_negative_squared_distance(self):
         w = bell_witness()
         assert evaluate(w, w.rho0) == pytest.approx(-1 / 3, abs=1e-12)
@@ -208,6 +214,10 @@ class TestQuditDetectionPredicate:
         amps = np.full(3, 1 / np.sqrt(3))
         assert qudit_detection_predicate(3, amps, 0.26, 0.0)
         assert not qudit_detection_predicate(3, amps, 0.24, 0.0)
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(BadInput, match="^coefficients not normalized$"):
+            qudit_detection_predicate(3, [1.0, 1.0, 1.0], 0.5, 0.0)
 
     def test_product_target_never_detected(self):
         amps = np.zeros(3)
