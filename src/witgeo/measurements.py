@@ -15,7 +15,12 @@ plus a constant.  Outcome weights are stored densely, one entry per
 joint outcome (N entries), which keeps the correlated and
 anti-correlated patterns uniform.  M_s and the outcome probabilities
 are contracted one party at a time, O(d N^2) per setting; the N x N
-Kronecker product of the party bases is never formed.
+Kronecker product of the party bases is never formed.  For the
+probabilities each party takes two matrix products: U^dagger meets the
+rows, then a batched matrix-vector product contracts the column digit
+with column a of U for each outcome a.  Both write into one complex
+scratch of N^2 + N^2/d_1 entries per call, and the real table is
+returned as a copy so that the scratch is freed.
 
 Builders cover the d x d witness for prime d (d+1 settings in the
 closed-form spin eigenbases; d = 2 takes the 3 GHZ settings of n = 2),
@@ -82,13 +87,19 @@ class MeasurementSetting:
         """Exact outcome distribution Tr[(tensor of projectors) rho]."""
         if rho.dims != self.dims:
             raise ValueError(f"state shape {rho.dims} != setting shape {self.dims}")
-        out = rho.mat.reshape(1, *rho.mat.shape)  # (outcomes of earlier parties, rows, cols)
+        n = rho.n
+        # rows of each step in the first N^2 entries, outcomes in the last N^2/d_1
+        work = np.empty(n * n + n * n // self.dims[0], dtype=complex)
+        out = rho.mat.reshape(1, n, n)  # (outcomes of earlier parties, rows, cols)
         for u in self.party_bases:  # (P, d*R, d*R) -> (P*d, R, R): rows meet U^dagger, columns U
-            d, (p, n, _) = u.shape[0], out.shape
-            y = (u.conj().T @ out.reshape(p, d, -1)).reshape(p, d, n // d, d, n // d)
-            y *= u.T.reshape(d, 1, d, 1)  # in place: one full-size temporary per party, not two
-            out = y.sum(axis=3).reshape(p * d, n // d, n // d)
-        return out.real.reshape(self.dims)
+            d, (p, r, _) = u.shape[0], out.shape
+            y = work[: p * r * r].reshape(p, d, r // d, d, r // d)
+            np.matmul(u.conj().T, out.reshape(p, d, -1), out=y.reshape(p, d, -1))
+            # outcome a contracts the column digit with column a of U
+            out = work[n * n : n * n + p * r * r // d].reshape(p, d, r // d, 1, r // d)
+            np.matmul(u.T.reshape(1, d, 1, 1, d), y, out=out)
+            out = out.reshape(p * d, r // d, r // d)
+        return out.real.reshape(self.dims).copy()  # a copy, so the scratch is freed
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,7 @@ class TestMeasurementSettingValidation:
         for setting in all_settings(dec):
             p = setting.joint_probabilities(rho)
             assert p.shape == (3, 3)
+            assert p.base is None  # owns its data: no view that keeps the N^2 scratch alive
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert p.min() >= -1e-12
 
@@ -409,7 +410,7 @@ def _random_basis(d, rng):
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
-    dims=st.sampled_from([(2, 2), (2, 3), (3, 2, 2), (5, 5), (2,) * 5]),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 2, 2), (2, 5, 3), (5, 5), (2,) * 5]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernels_match_joint_isometry_reference(dims, seed):
